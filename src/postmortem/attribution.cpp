@@ -4,7 +4,6 @@
 #include <map>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "support/common.h"
 #include "support/interner.h"
@@ -34,7 +33,7 @@ struct AttrKey {
   friend bool operator==(const AttrKey&, const AttrKey&) = default;
 };
 
-/// Per-key sample tally, split by the sample's comm classification
+/// Sample tally of one row or one memoised path, split by comm classification
 /// (sampling::AccessKind) — index order None/Local/RemoteGet/RemotePut —
 /// plus the sparse locale-pair tally of the remote kinds (pairKey -> count;
 /// a sorted map so emission order is deterministic).
@@ -125,9 +124,33 @@ int indexDepthOf(const std::vector<PathElem>& path) {
   return n;
 }
 
-class Attributor {
- public:
-  Attributor(const an::ModuleBlame& mb, const AttributionOptions& opts)
+/// Memo entry of one distinct glued path: the rows it blames and the
+/// samples that took it.
+struct PathEntry {
+  std::vector<uint32_t> rows;  // row ids, sorted, deduplicated
+  AttrCounts counts;
+};
+
+/// FNV-1a over the packed (func, instr) frames; exact vector equality
+/// guards against collisions.
+struct PathHash {
+  size_t operator()(const std::vector<sampling::Frame>& v) const {
+    uint64_t h = 1469598103934665603ull;
+    for (const sampling::Frame& f : v) {
+      h ^= sampling::RunLog::siteKey(f.func, f.instr);
+      h *= 1099511628211ull;
+    }
+    return static_cast<size_t>(h);
+  }
+};
+
+/// Heap bytes of one std::map / unordered_map node beyond its value.
+constexpr size_t kNodeOverhead = 4 * sizeof(void*);
+
+}  // namespace
+
+struct Attributor::Impl {
+  Impl(const an::ModuleBlame& mb, const AttributionOptions& opts)
       : mb_(mb), m_(*mb.mod), opts_(opts) {
     // One context name per function plus a name+type pair per displayable
     // entity is the steady-state symbol population; reserving it up front
@@ -142,103 +165,77 @@ class Attributor {
     aliasKeys_.resize(m_.numGlobals());
   }
 
-  BlameReport run(const std::vector<const Instance*>& instances) {
-    for (const Instance* instPtr : instances) {
-      if (!instPtr) continue;
-      const Instance& inst = *instPtr;
-      ++report_.totalRawSamples;
-      if (inst.idle || inst.frames.empty()) continue;
-      ++report_.totalUserSamples;
-      // The blamed key set is a pure function of the resolved frame vector
-      // (blameOne only ever consults inst.frames), and samples repeat the
-      // same hot stacks constantly, so memoise per distinct stack: the
-      // entity matching and interprocedural transfer walk run once per
-      // stack shape instead of once per sample.
-      stackKey_.clear();
-      for (const ResolvedFrame& fr : inst.frames)
-        stackKey_.push_back(sampling::RunLog::siteKey(fr.func, fr.instr));
-      auto [memoIt, freshStack] = stackMemo_.try_emplace(stackKey_);
-      if (freshStack) {
-        perSample_.clear();
-        // Inclusive attribution: every frame of the call path is matched
-        // against its function's blame sets (a sample deep in a callee also
-        // blames caller variables whose blame lines include the callsite).
-        for (size_t fi = 0; fi < inst.frames.size(); ++fi) {
-          const ResolvedFrame& fr = inst.frames[fi];
-          const FunctionBlame& fb = mb_.fn(fr.func);
-          if (fr.instr >= fb.instrEntities.size()) continue;
-          for (EntityId e : fb.instrEntities[fr.instr])
-            blameOne(inst, fi, fb, e, {});
-        }
-        memoIt->second.assign(perSample_.begin(), perSample_.end());
-        // Causal bridge: remember which sampled instruction fed each row.
-        // The leaf frame is where the overflow fired, i.e. the site whose
-        // charges the sample stands for (RunLog::siteKey space, same as
-        // taskSpan sites), so scaling a row's site set scales its measured
-        // code. Site and blamed keys are both pure functions of the stack,
-        // so one insert per distinct stack covers every repeat sample.
-        if (collectSites_ && !perSample_.empty()) {
-          uint64_t site = stackKey_.back();  // == siteKey(leaf.func, leaf.instr)
-          for (const AttrKey& key : perSample_) siteAgg_[key].insert(site);
-        }
-      }
-      const std::vector<AttrKey>& blamed = memoIt->second;
-      // Each blamed key absorbs one sample, tallied under the sample's comm
-      // classification so finish() can emit the compute/local/remote split;
-      // remote samples also land in the blamed variables' locale-pair cells
-      // and (once per sample) in the report-global matrix.
-      size_t kind = static_cast<size_t>(inst.accessKind);
-      bool remote = inst.accessKind == sampling::AccessKind::RemoteGet ||
-                    inst.accessKind == sampling::AccessKind::RemotePut;
-      uint64_t pk =
-          remote ? sampling::RunLog::pairKey(inst.srcLocale, inst.dstLocale) : 0;
-      if (remote) ++totalComm_[pk];
-      for (const AttrKey& key : blamed) {
-        AttrCounts& ac = agg_[key];
-        ++ac.byKind[kind];
-        if (remote) ++ac.cells[pk];
-      }
+  void add(const std::vector<sampling::Frame>& path, sampling::AccessKind kind, int32_t src,
+           int32_t dst) {
+    ++totalRaw_;
+    if (path.empty()) return;
+    ++totalUser_;
+    auto it = memo_.find(path);
+    if (it == memo_.end()) it = memo_.emplace(path, blamePath(path)).first;
+    // Each blamed row absorbs the sample under its comm classification, so
+    // report() can emit the compute/local/remote split; remote samples also
+    // land in the locale-pair cells and (once per sample) in the
+    // report-global matrix.
+    AttrCounts& c = it->second.counts;
+    ++c.byKind[static_cast<size_t>(kind)];
+    if (kind == sampling::AccessKind::RemoteGet || kind == sampling::AccessKind::RemotePut) {
+      uint64_t pk = sampling::RunLog::pairKey(src, dst);
+      ++c.cells[pk];
+      ++totalComm_[pk];
     }
-    return finish();
   }
 
-  std::vector<VariableSiteSet> runForSites(const std::vector<const Instance*>& instances) {
-    collectSites_ = true;
-    run(instances);  // agg_ keeps the per-key tallies finish() snapshotted
-    return emitSites(siteAgg_);
-  }
-
-  /// Derives the site sets from a completed run() without touching the
-  /// samples again: the per-stack memo already pairs every distinct stack
-  /// (whose back() is the sampled leaf site) with its blamed keys, and agg_
-  /// still holds the per-key sample tallies finish() snapshotted. Rebuilding
-  /// siteAgg from the memo therefore reproduces runForSites' collection
-  /// exactly — one insert per (distinct stack, blamed key), same keys, same
-  /// counts — at per-stack cost instead of per-sample cost.
-  std::vector<VariableSiteSet> sitesFromMemo() {
-    std::unordered_map<AttrKey, std::unordered_set<uint64_t>, AttrKeyHash> siteAgg;
-    for (const auto& [stack, blamed] : stackMemo_) {
-      if (stack.empty() || blamed.empty()) continue;
-      uint64_t site = stack.back();  // == siteKey(leaf.func, leaf.instr)
-      for (const AttrKey& key : blamed) siteAgg[key].insert(site);
+  void add(const Instance& inst) {
+    if (inst.idle) {
+      ++totalRaw_;
+      return;
     }
-    return emitSites(siteAgg);
+    path_.clear();
+    for (const ResolvedFrame& fr : inst.frames) path_.push_back({fr.func, fr.instr});
+    add(path_, inst.accessKind, inst.srcLocale, inst.dstLocale);
   }
 
- private:
-  std::vector<VariableSiteSet> emitSites(
-      std::unordered_map<AttrKey, std::unordered_set<uint64_t>, AttrKeyHash>& siteAgg) {
-    std::vector<VariableSiteSet> out;
-    out.reserve(siteAgg.size());
-    for (auto& [key, sites] : siteAgg) {
-      VariableSiteSet row;
-      row.context = syms_.str(Symbol(key.context));
-      row.name = syms_.str(Symbol(key.name));
-      row.type = syms_.str(Symbol(key.type));
-      row.sampleCount = agg_[key].total();
-      row.sites.assign(sites.begin(), sites.end());
+  BlameReport report() const {
+    BlameReport out;
+    out.totalRawSamples = totalRaw_;
+    out.totalUserSamples = totalUser_;
+    std::vector<AttrCounts> counts = rowCounts();
+    out.rows.reserve(counts.size());
+    for (size_t id = 0; id < counts.size(); ++id) {
+      VariableBlame row;
+      setKey(row, rowKeys_[id]);
+      row.computeSamples = counts[id].byKind[0];
+      row.localSamples = counts[id].byKind[1];
+      row.remoteGetSamples = counts[id].byKind[2];
+      row.remotePutSamples = counts[id].byKind[3];
+      row.commMatrix = cellsOf(counts[id].cells);
+      row.sampleCount = counts[id].total();
+      row.percent = totalUser_ ? 100.0 * static_cast<double>(row.sampleCount) / totalUser_ : 0.0;
+      out.rows.push_back(std::move(row));
+    }
+    out.totalComm = cellsOf(totalComm_);
+    std::sort(out.rows.begin(), out.rows.end(), blameRowLess);
+    return out;
+  }
+
+  /// Causal bridge: the leaf frame of a path is where the overflow fired,
+  /// i.e. the site whose charges the sample stands for (RunLog::siteKey
+  /// space, same as taskSpan sites), so scaling a row's site set scales its
+  /// measured code. Both the site and the blamed rows are functions of the
+  /// path, so the memo alone holds every (site, row) pair.
+  std::vector<VariableSiteSet> sites() const {
+    std::vector<VariableSiteSet> out(rowKeys_.size());
+    for (const auto& [path, e] : memo_) {
+      uint64_t site = sampling::RunLog::siteKey(path.back().func, path.back().instr);
+      for (uint32_t id : e.rows) out[id].sites.push_back(site);
+    }
+    std::vector<AttrCounts> counts = rowCounts();
+    for (size_t id = 0; id < out.size(); ++id) {
+      VariableSiteSet& row = out[id];
+      setKey(row, rowKeys_[id]);
+      row.sampleCount = counts[id].total();
       std::sort(row.sites.begin(), row.sites.end());
-      out.push_back(std::move(row));
+      row.sites.erase(std::unique(row.sites.begin(), row.sites.end()), row.sites.end());
     }
     // Same total order as blameRowLess, so row i lines up with the matching
     // BlameReport's rows[i].
@@ -251,10 +248,70 @@ class Attributor {
     return out;
   }
 
- public:
+  size_t approxMemoryBytes() const {
+    size_t bytes = sizeof(*this) + syms_.approxMemoryBytes();
+    bytes += memo_.bucket_count() * sizeof(void*);
+    for (const auto& [path, e] : memo_) {
+      bytes += sizeof(path) + sizeof(e) + kNodeOverhead;
+      bytes += path.capacity() * sizeof(sampling::Frame) + e.rows.capacity() * sizeof(uint32_t);
+      bytes += e.counts.cells.size() * (2 * sizeof(uint64_t) + kNodeOverhead);
+    }
+    bytes += rowKeys_.capacity() * sizeof(AttrKey);
+    bytes += rowIds_.bucket_count() * sizeof(void*) +
+             rowIds_.size() * (sizeof(AttrKey) + sizeof(uint32_t) + kNodeOverhead);
+    bytes += contextSym_.capacity() * sizeof(uint32_t);
+    for (const auto& table : entSym_) bytes += sizeof(table) + table.capacity() * sizeof(table[0]);
+    for (const auto& keys : aliasKeys_)
+      bytes += sizeof(keys) + (keys ? keys->capacity() * sizeof(AttrKey) : 0);
+    bytes += totalComm_.size() * (2 * sizeof(uint64_t) + kNodeOverhead);
+    bytes += blamed_.capacity() * sizeof(uint32_t) + path_.capacity() * sizeof(sampling::Frame);
+    return bytes;
+  }
 
  private:
   static constexpr uint32_t kUncached = ~0u;
+
+  template <typename Row>
+  void setKey(Row& row, const AttrKey& key) const {
+    row.context = syms_.str(Symbol(key.context));
+    row.name = syms_.str(Symbol(key.name));
+    row.type = syms_.str(Symbol(key.type));
+  }
+
+  /// Per-row tallies: the sum over every memoised path that blames the row.
+  std::vector<AttrCounts> rowCounts() const {
+    std::vector<AttrCounts> counts(rowKeys_.size());
+    for (const auto& [path, e] : memo_) {
+      for (uint32_t id : e.rows) {
+        for (size_t k = 0; k < 4; ++k) counts[id].byKind[k] += e.counts.byKind[k];
+        for (const auto& [pk, n] : e.counts.cells) counts[id].cells[pk] += n;
+      }
+    }
+    return counts;
+  }
+
+  /// Inclusive attribution of one new path: every frame of the call path is
+  /// matched against its function's blame sets (a sample deep in a callee
+  /// also blames caller variables whose blame lines include the callsite).
+  PathEntry blamePath(const std::vector<sampling::Frame>& path) {
+    blamed_.clear();
+    for (size_t fi = 0; fi < path.size(); ++fi) {
+      const FunctionBlame& fb = mb_.fn(path[fi].func);
+      if (path[fi].instr >= fb.instrEntities.size()) continue;
+      for (EntityId e : fb.instrEntities[path[fi].instr]) blameOne(path, fi, fb, e, {});
+    }
+    std::sort(blamed_.begin(), blamed_.end());
+    blamed_.erase(std::unique(blamed_.begin(), blamed_.end()), blamed_.end());
+    PathEntry entry;
+    entry.rows = blamed_;
+    return entry;
+  }
+
+  uint32_t rowId(const AttrKey& key) {
+    auto [it, inserted] = rowIds_.try_emplace(key, static_cast<uint32_t>(rowKeys_.size()));
+    if (inserted) rowKeys_.push_back(key);
+    return it->second;
+  }
 
   uint32_t contextSymOf(ir::FuncId f) {
     uint32_t& slot = contextSym_[f];
@@ -263,7 +320,7 @@ class Attributor {
   }
 
   /// Interned (name, type) of an entity's fixed display strings, cached per
-  /// (function, entity) so repeated samples never re-hash the strings.
+  /// (function, entity) so repeated paths never re-hash the strings.
   std::pair<uint32_t, uint32_t> entitySyms(const FunctionBlame& fb, EntityId e) {
     auto& table = entSym_[fb.func];
     if (table.empty()) table.assign(fb.entities.size(), {kUncached, kUncached});
@@ -275,14 +332,14 @@ class Attributor {
     return slot;
   }
 
-  void blameOne(const Instance& inst, size_t frameIdx, const FunctionBlame& fb, EntityId e,
-                std::vector<PathElem> extraPath) {
+  void blameOne(const std::vector<sampling::Frame>& path, size_t frameIdx,
+                const FunctionBlame& fb, EntityId e, std::vector<PathElem> extraPath) {
     if (depth_ > 64) return;  // cyclic transfer guard
     const Entity& ent = fb.entities[e];
     switch (ent.key.root) {
       case RootKind::Param:
         if (opts_.interprocedural && fb.exitViaCaller[e] && frameIdx > 0) {
-          const ResolvedFrame& caller = inst.frames[frameIdx - 1];
+          const sampling::Frame& caller = path[frameIdx - 1];
           const FunctionBlame& cfb = mb_.fn(caller.func);
           auto cs = cfb.callsites.find(caller.instr);
           if (cs != cfb.callsites.end() &&
@@ -292,23 +349,23 @@ class Attributor {
               std::vector<PathElem> combined = ent.key.path;
               combined.insert(combined.end(), extraPath.begin(), extraPath.end());
               ++depth_;
-              blameOne(inst, frameIdx - 1, cfb, ce, std::move(combined));
+              blameOne(path, frameIdx - 1, cfb, ce, std::move(combined));
               --depth_;
               return;
             }
           }
         }
-        record(inst, frameIdx, fb, e, extraPath);
+        record(path, frameIdx, fb, e, extraPath);
         return;
       case RootKind::Ret:
         if (opts_.interprocedural && frameIdx > 0) {
-          const ResolvedFrame& caller = inst.frames[frameIdx - 1];
+          const sampling::Frame& caller = path[frameIdx - 1];
           const FunctionBlame& cfb = mb_.fn(caller.func);
           auto cs = cfb.callsites.find(caller.instr);
           if (cs != cfb.callsites.end()) {
             for (EntityId t : cs->second.resultTargets) {
               ++depth_;
-              blameOne(inst, frameIdx - 1, cfb, t, {});
+              blameOne(path, frameIdx - 1, cfb, t, {});
               --depth_;
             }
           }
@@ -317,13 +374,13 @@ class Attributor {
       case RootKind::Global:
       case RootKind::Local:
       case RootKind::Unknown:
-        record(inst, frameIdx, fb, e, extraPath);
+        record(path, frameIdx, fb, e, extraPath);
         return;
     }
   }
 
-  void record(const Instance& inst, size_t frameIdx, const FunctionBlame& fb, EntityId e,
-              const std::vector<PathElem>& extraPath) {
+  void record(const std::vector<sampling::Frame>& path, size_t frameIdx, const FunctionBlame& fb,
+              EntityId e, const std::vector<PathElem>& extraPath) {
     const Entity& ent = fb.entities[e];
     if (!ent.displayable && !opts_.includeHidden) return;
 
@@ -347,16 +404,15 @@ class Attributor {
       }
     }
 
-    uint32_t context = ent.key.root == RootKind::Global
-                           ? mainSym_
-                           : contextSymOf(inst.frames[frameIdx].func);
-    perSample_.insert(AttrKey{context, nameSym, typeSym});
+    uint32_t context =
+        ent.key.root == RootKind::Global ? mainSym_ : contextSymOf(path[frameIdx].func);
+    blamed_.push_back(rowId(AttrKey{context, nameSym, typeSym}));
 
     // Module-scope aliases share their region: blaming RealPos blames Pos
     // (and vice versa) — §III: "writes to the memory region allocated to
     // the variable v, the aliases of v, ...".
     if (ent.key.root == RootKind::Global) {
-      for (const AttrKey& k : aliasKeysOf(ent.key.rootId)) perSample_.insert(k);
+      for (const AttrKey& k : aliasKeysOf(ent.key.rootId)) blamed_.push_back(rowId(k));
     }
   }
 
@@ -379,61 +435,47 @@ class Attributor {
     return *cached;
   }
 
-  BlameReport finish() {
-    report_.rows.reserve(agg_.size());
-    for (const auto& [key, counts] : agg_) {
-      VariableBlame row;
-      row.context = syms_.str(Symbol(key.context));
-      row.name = syms_.str(Symbol(key.name));
-      row.type = syms_.str(Symbol(key.type));
-      row.computeSamples = counts.byKind[0];
-      row.localSamples = counts.byKind[1];
-      row.remoteGetSamples = counts.byKind[2];
-      row.remotePutSamples = counts.byKind[3];
-      row.commMatrix = cellsOf(counts.cells);
-      row.sampleCount = counts.total();
-      row.percent = report_.totalUserSamples
-                        ? 100.0 * static_cast<double>(row.sampleCount) / report_.totalUserSamples
-                        : 0.0;
-      report_.rows.push_back(std::move(row));
-    }
-    report_.totalComm = cellsOf(totalComm_);
-    std::sort(report_.rows.begin(), report_.rows.end(), blameRowLess);
-    return std::move(report_);
-  }
-
   const an::ModuleBlame& mb_;
   const ir::Module& m_;
   AttributionOptions opts_;
-  BlameReport report_;
+  uint64_t totalRaw_ = 0;
+  uint64_t totalUser_ = 0;
   StringInterner syms_;
   uint32_t mainSym_ = 0;
   std::vector<uint32_t> contextSym_;  // FuncId -> interned context name
   std::vector<std::vector<std::pair<uint32_t, uint32_t>>> entSym_;  // per func, per entity
   std::vector<std::optional<std::vector<AttrKey>>> aliasKeys_;      // per global
-  std::unordered_set<AttrKey, AttrKeyHash> perSample_;
-  /// Blamed-key sets memoised per distinct resolved stack (packed as
-  /// siteKey(func, instr) per frame). FNV-1a over the packed frames; exact
-  /// vector equality guards against collisions.
-  struct StackHash {
-    size_t operator()(const std::vector<uint64_t>& v) const {
-      uint64_t h = 1469598103934665603ull;
-      for (uint64_t x : v) {
-        h ^= x;
-        h *= 1099511628211ull;
-      }
-      return static_cast<size_t>(h);
-    }
-  };
-  std::vector<uint64_t> stackKey_;
-  std::unordered_map<std::vector<uint64_t>, std::vector<AttrKey>, StackHash> stackMemo_;
-  std::unordered_map<AttrKey, AttrCounts, AttrKeyHash> agg_;
-  bool collectSites_ = false;
-  std::unordered_map<AttrKey, std::unordered_set<uint64_t>, AttrKeyHash> siteAgg_;
+  std::vector<AttrKey> rowKeys_;                                    // row id -> key
+  std::unordered_map<AttrKey, uint32_t, AttrKeyHash> rowIds_;       // key -> row id
+  std::unordered_map<std::vector<sampling::Frame>, PathEntry, PathHash> memo_;
   std::map<uint64_t, uint64_t> totalComm_;  // once-per-remote-sample pairs
+  std::vector<uint32_t> blamed_;            // scratch of blamePath
+  std::vector<sampling::Frame> path_;       // scratch of add(Instance)
   int depth_ = 0;
 };
 
+Attributor::Attributor(const an::ModuleBlame& mb, const AttributionOptions& opts)
+    : impl_(std::make_unique<Impl>(mb, opts)) {}
+Attributor::~Attributor() = default;
+Attributor::Attributor(Attributor&&) noexcept = default;
+Attributor& Attributor::operator=(Attributor&&) noexcept = default;
+
+void Attributor::add(const std::vector<sampling::Frame>& path, sampling::AccessKind kind,
+                     int32_t srcLocale, int32_t dstLocale) {
+  impl_->add(path, kind, srcLocale, dstLocale);
+}
+
+void Attributor::addIdle() { impl_->add({}, sampling::AccessKind::None, 0, 0); }
+
+void Attributor::add(const Instance& inst) { impl_->add(inst); }
+
+BlameReport Attributor::report() const { return impl_->report(); }
+
+std::vector<VariableSiteSet> Attributor::sites() const { return impl_->sites(); }
+
+size_t Attributor::approxMemoryBytes() const { return impl_->approxMemoryBytes(); }
+
+namespace {
 }  // namespace
 
 const VariableBlame* BlameReport::find(const std::string& name) const {
@@ -461,9 +503,9 @@ std::string userContextName(const ir::Module& m, ir::FuncId f) {
   return n == "_module_init" ? "main" : n;
 }
 
-/// Holds the attributor whose run() primed the cache, plus the blame map it
-/// ran against (identity-checked before reuse — a cache primed for one
-/// module must never answer for another).
+/// Holds the attributor that primed the cache, plus the blame map it ran
+/// against (identity-checked before reuse — a cache primed for one module
+/// must never answer for another).
 struct AttributionCache::Impl {
   std::optional<Attributor> attributor;
   const an::ModuleBlame* mb = nullptr;
@@ -481,20 +523,19 @@ void AttributionCache::clear() {
 
 BlameReport attribute(const an::ModuleBlame& mb, const std::vector<Instance>& instances,
                       const AttributionOptions& opts, AttributionCache* cache) {
-  std::vector<const Instance*> ptrs;
-  ptrs.reserve(instances.size());
-  for (const Instance& inst : instances) ptrs.push_back(&inst);
-  if (cache != nullptr) {
-    cache->impl()->attributor.emplace(mb, opts);
-    cache->impl()->mb = &mb;
-    return cache->impl()->attributor->run(ptrs);
-  }
-  return Attributor(mb, opts).run(ptrs);
+  std::optional<Attributor> local;
+  Attributor& a = cache ? cache->impl()->attributor.emplace(mb, opts) : local.emplace(mb, opts);
+  if (cache) cache->impl()->mb = &mb;
+  for (const Instance& inst : instances) a.add(inst);
+  return a.report();
 }
 
 BlameReport attribute(const an::ModuleBlame& mb, const std::vector<const Instance*>& instances,
                       const AttributionOptions& opts) {
-  return Attributor(mb, opts).run(instances);
+  Attributor a(mb, opts);
+  for (const Instance* inst : instances)
+    if (inst) a.add(*inst);
+  return a.report();
 }
 
 std::vector<VariableSiteSet> attributionSites(const an::ModuleBlame& mb,
@@ -502,11 +543,10 @@ std::vector<VariableSiteSet> attributionSites(const an::ModuleBlame& mb,
                                               const AttributionOptions& opts,
                                               const AttributionCache* cache) {
   if (cache != nullptr && cache->impl()->attributor.has_value() && cache->impl()->mb == &mb)
-    return cache->impl()->attributor->sitesFromMemo();
-  std::vector<const Instance*> ptrs;
-  ptrs.reserve(instances.size());
-  for (const Instance& inst : instances) ptrs.push_back(&inst);
-  return Attributor(mb, opts).runForSites(ptrs);
+    return cache->impl()->attributor->sites();
+  Attributor a(mb, opts);
+  for (const Instance& inst : instances) a.add(inst);
+  return a.sites();
 }
 
 namespace {

@@ -78,13 +78,70 @@ struct AttributionOptions {
   bool includeHidden = false;   // include compiler temps (debugging aid)
 };
 
-/// Opaque carrier of attributor state (the per-stack blame memo and per-key
-/// tallies) between an `attribute` call and a later `attributionSites` call
-/// over the same (blame map, instances, options). When primed, sites come
-/// straight out of the memo — no second pass over the samples and no repeat
-/// of the entity-matching walk. Only the sequential postmortem path primes
-/// it; the sharded path leaves it empty and `attributionSites` falls back to
-/// a full collection run, so the output is identical either way.
+/// The code sites behind one blame row: for the variable row keyed
+/// (context, name, type), the distinct RunLog::siteKey values of the sampled
+/// (leaf) instructions of every instance that blamed it. This is the bridge
+/// from data-centric attribution into the causal what-if replay
+/// (an::causal::VariableSites): scaling these sites by k scales exactly the
+/// code the variable's blame was measured at.
+struct VariableSiteSet {
+  std::string context;
+  std::string name;
+  std::string type;
+  uint64_t sampleCount = 0;     // instances that blamed this row
+  std::vector<uint64_t> sites;  // sorted ascending, deduplicated
+
+  friend bool operator==(const VariableSiteSet&, const VariableSiteSet&) = default;
+};
+
+/// The attribution kernel, fed one sample at a time. A sample is its glued
+/// call path (outermost frame first, as in Instance::frames) plus its comm
+/// classification. The blamed rows are a pure function of the path, so the
+/// entity matching and the interprocedural transfer walk run once per
+/// distinct path (the per-path memo), and a repeat sample costs one hash
+/// lookup and a tally. Batch `attribute` is this class over a vector of
+/// instances; the streaming post-mortem keeps one alive across a whole log.
+/// State grows with distinct paths and blamed rows, never with the number
+/// of samples, and the result never depends on how the samples were split
+/// into calls.
+class Attributor {
+ public:
+  explicit Attributor(const an::ModuleBlame& mb, const AttributionOptions& opts = {});
+  ~Attributor();
+  Attributor(Attributor&&) noexcept;
+  Attributor& operator=(Attributor&&) noexcept;
+
+  /// One non-idle sample. An empty path counts as a raw sample only.
+  void add(const std::vector<sampling::Frame>& path, sampling::AccessKind kind,
+           int32_t srcLocale, int32_t dstLocale);
+
+  /// One idle (runtime-frame) sample: counted as a raw sample only.
+  void addIdle();
+
+  /// One consolidated instance, idle or not.
+  void add(const Instance& inst);
+
+  /// The report over every sample added so far, rows sorted by blameRowLess.
+  BlameReport report() const;
+
+  /// Per-row leaf-site sets over every sample added so far. Row i matches
+  /// report().rows[i].
+  std::vector<VariableSiteSet> sites() const;
+
+  /// Allocator-counter style heap footprint (memo, tallies, symbol caches).
+  size_t approxMemoryBytes() const;
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
+/// Opaque carrier of attributor state between an `attribute` call and a
+/// later `attributionSites` call over the same (blame map, instances,
+/// options). When primed, sites come straight out of the attributor's memo:
+/// no second pass over the samples. Only the sequential postmortem path
+/// primes it; the sharded path leaves it empty and `attributionSites` falls
+/// back to a fresh attributor, so the output is identical either way.
 class AttributionCache {
  public:
   AttributionCache();
@@ -166,33 +223,15 @@ class StreamingAggregator {
 /// their lexically-enclosing user function; _module_init reports "main".
 std::string userContextName(const ir::Module& m, ir::FuncId f);
 
-/// The code sites behind one blame row: for the variable row keyed
-/// (context, name, type), the distinct RunLog::siteKey values of the sampled
-/// (leaf) instructions of every instance that blamed it. This is the bridge
-/// from data-centric attribution into the causal what-if replay
-/// (an::causal::VariableSites): scaling these sites by k scales exactly the
-/// code the variable's blame was measured at.
-struct VariableSiteSet {
-  std::string context;
-  std::string name;
-  std::string type;
-  uint64_t sampleCount = 0;     // instances that blamed this row
-  std::vector<uint64_t> sites;  // sorted ascending, deduplicated
-
-  friend bool operator==(const VariableSiteSet&, const VariableSiteSet&) = default;
-};
-
-/// Runs the same attribution pass as `attribute` but collects, per row, the
-/// leaf-site set instead of the comm tally. Rows come back in the matching
-/// BlameReport's order (blameRowLess over the same keys and counts), so
-/// sites[i] corresponds to report.rows[i] when both were built from the same
-/// instances and options.
+/// The per-row leaf-site sets of attributing `instances` (Attributor::sites).
+/// Rows come back in the matching BlameReport's order (blameRowLess over the
+/// same keys and counts), so sites[i] corresponds to report.rows[i] when
+/// both were built from the same instances and options.
 ///
 /// When `cache` was primed by an `attribute` call over the same blame map
 /// (and the same instances/options — the caller's contract), the site sets
-/// are derived from the cached per-stack memo instead of re-attributing:
-/// same rows, same order, no second pass. An unprimed or mismatched cache
-/// falls back to the full run.
+/// come from the cached attributor instead of re-attributing. An unprimed
+/// or mismatched cache falls back to a fresh attributor.
 std::vector<VariableSiteSet> attributionSites(const an::ModuleBlame& mb,
                                               const std::vector<Instance>& instances,
                                               const AttributionOptions& opts = {},

@@ -22,6 +22,27 @@ ResolvedFrame resolve(const ir::Module& m, const sampling::Frame& f) {
 
 }  // namespace
 
+void glueSpawnPrefix(const sampling::RunLog& log, uint64_t taskTag, const ConsolidateOptions& opts,
+                     std::vector<sampling::Frame>& out) {
+  out.clear();
+  if (!opts.glueSpawns) return;
+  std::vector<const sampling::SpawnRecord*> chain;
+  for (uint64_t tag = taskTag; tag != 0 && chain.size() < log.spawns.size();) {
+    auto it = log.spawns.find(tag);
+    if (it == log.spawns.end()) break;
+    chain.push_back(&it->second);
+    tag = it->second.parentTag;
+  }
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    for (const sampling::Frame& f : (*it)->preSpawnStack) {
+      // Trim redundancy: if the pre-spawn leaf repeats the previous glue
+      // point, skip the duplicate.
+      if (!out.empty() && out.back() == f) continue;
+      out.push_back(f);
+    }
+  }
+}
+
 Instance consolidateSample(const ir::Module& m, const sampling::RunLog& log,
                            const sampling::RawSample& s, const ConsolidateOptions& opts) {
   Instance inst;
@@ -35,33 +56,11 @@ Instance consolidateSample(const ir::Module& m, const sampling::RunLog& log,
     return inst;
   }
 
-  // Glue: prepend pre-spawn stacks, innermost tag first, walking the
-  // parent chain ("we glue the pre-spawn stack trace and post-spawn stack
-  // trace based on the unique spawn tag").
-  std::vector<sampling::Frame> full;
-  std::vector<const sampling::SpawnRecord*> chain;
-  if (opts.glueSpawns) {
-    uint64_t tag = s.taskTag;
-    while (tag != 0) {
-      auto it = log.spawns.find(tag);
-      if (it == log.spawns.end()) break;
-      chain.push_back(&it->second);
-      tag = it->second.parentTag;
-    }
-  }
-  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-    const sampling::SpawnRecord& rec = **it;
-    for (const sampling::Frame& f : rec.preSpawnStack) {
-      // Trim redundancy: if the pre-spawn leaf repeats the previous glue
-      // point, skip the duplicate.
-      if (!full.empty() && full.back() == f) continue;
-      full.push_back(f);
-    }
-  }
-  for (const sampling::Frame& f : s.stack) full.push_back(f);
-
-  inst.frames.reserve(full.size());
-  for (const sampling::Frame& f : full) inst.frames.push_back(resolve(m, f));
+  std::vector<sampling::Frame> prefix;
+  glueSpawnPrefix(log, s.taskTag, opts, prefix);
+  inst.frames.reserve(prefix.size() + s.stack.size());
+  for (const sampling::Frame& f : prefix) inst.frames.push_back(resolve(m, f));
+  for (const sampling::Frame& f : s.stack) inst.frames.push_back(resolve(m, f));
   return inst;
 }
 

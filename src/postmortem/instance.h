@@ -47,6 +47,16 @@ struct ConsolidateOptions {
   bool glueSpawns = true;
 };
 
+/// The glue rule, shared by consolidateSample and the streaming
+/// post-mortem: replaces `out` with the pre-spawn stacks of `taskTag`'s
+/// spawn chain, outermost spawn first ("we glue the pre-spawn stack trace
+/// and post-spawn stack trace based on the unique spawn tag"), trimming a
+/// frame that repeats the one before it. Empty when gluing is off or the tag
+/// has no spawn record. The chain walk stops after as many records as the
+/// registry holds, so a cyclic chain in a corrupt log cannot loop.
+void glueSpawnPrefix(const sampling::RunLog& log, uint64_t taskTag, const ConsolidateOptions& opts,
+                     std::vector<sampling::Frame>& out);
+
 /// Glues, trims and resolves every sample of a run.
 std::vector<Instance> consolidate(const ir::Module& m, const sampling::RunLog& log,
                                   const ConsolidateOptions& opts = {});

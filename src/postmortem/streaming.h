@@ -1,19 +1,20 @@
-// Memory-bounded streaming post-mortem: chunked consolidation + attribution
-// over an incrementally-decoded run log. Where the batch pipeline
-// materializes every RawSample and every Instance before attributing, this
-// path holds at most
+// Memory-bounded streaming post-mortem: glue + attribution over an
+// incrementally-decoded run log. Where the batch pipeline materializes every
+// RawSample and every Instance before attributing, this path holds at most
 //
-//   spawn registry + comm metadata      (RunLogStreamer::readMeta)
-// + one chunk of consolidated instances (opts.chunkSamples)
-// + the blame accumulator               (O(distinct rows), not O(samples))
-// + one fixed decode buffer             (ChunkReader, default 256 KiB)
+//   spawn registry + comm metadata   (RunLogStreamer::readMeta)
+// + one fixed decode window          (ChunkReader, default 256 KiB)
+// + one sample in flight             (decoded in place, glued in place)
+// + the per-tag glued prefixes       (one per spawn record ever sampled)
+// + one Attributor                   (per-path memo + per-row tallies)
 //
-// so peak memory is a function of the PROGRAM being profiled (distinct
-// blamed variables, live tasks), never of the log length. Attribution is a
-// pure per-instance map-reduce and StreamingAggregator's fold is partition-
-// and order-invariant, so the streamed report is bit-identical to
-// attribute(consolidate(log)) for every chunk size — the same contract the
-// sharded parallel path keeps, enforced by the streaming property tests.
+// Each term is a function of the PROGRAM being profiled — its spawn sites,
+// distinct call paths and blamed variables — never of the log length. The
+// attributor lives for the whole stream: it is the very class batch
+// `attribute` runs, fed the same glued paths (glueSpawnPrefix is the one
+// glue rule), so the streamed report is bit-identical to
+// attribute(consolidate(log)) for every chunk size. `chunkSamples` sets the
+// cadence at which chunks are counted and the footprint is sampled.
 #pragma once
 
 #include <cstdint>
@@ -27,30 +28,29 @@ namespace cb::pm {
 struct StreamingPostmortemOptions {
   ConsolidateOptions consolidate;
   AttributionOptions attribution;
-  /// Instances consolidated per attribution batch. Any value >= 1 produces
-  /// the identical report; larger chunks trade memory for fewer partial
-  /// attribution passes.
+  /// Samples per chunk: the cadence of StreamingPostmortemStats::chunks and
+  /// of the peak-footprint sample. Any value >= 1 produces the identical
+  /// report.
   uint32_t chunkSamples = 4096;
 };
 
 /// Accounting for the bounded-memory claim (allocator-counter style, same
 /// discipline as StreamingAggregator::approxMemoryBytes).
 struct StreamingPostmortemStats {
-  uint64_t samples = 0;        // samples consolidated
-  uint64_t chunks = 0;         // partial attribution batches folded
+  uint64_t samples = 0;        // samples streamed
+  uint64_t chunks = 0;         // chunks of chunkSamples samples (last may be short)
   size_t decodeBufferBytes = 0;   // resident ChunkReader buffer
-  size_t peakAccumulatorBytes = 0;  // max aggregator footprint observed
+  size_t peakAccumulatorBytes = 0;  // max attributor + prefix-cache footprint observed
 };
 
 /// Runs the two-pass streaming protocol over an opened streamer: readMeta
-/// (validates the whole log, collects spawns/alloc/comm), then consolidates
-/// and attributes samples chunk-by-chunk, folding partial reports through
-/// StreamingAggregator. Fills `out` with the aggregate; with mb == nullptr
-/// attribution is skipped and `out` is the empty report (matching the
-/// sharded path's --fast semantics). Returns false on malformed input —
-/// accepting exactly the logs the batch loader accepts. `meta` (optional)
-/// receives the non-sample log contents (header counters, spawns,
-/// alloc sites, comm matrix).
+/// (validates the whole log, collects spawns/alloc/comm), then glues and
+/// attributes the samples one by one. Fills `out` with the report; with
+/// mb == nullptr attribution is skipped and `out` is the empty report
+/// (matching the sharded path's --fast semantics). Returns false on input
+/// the batch loader rejects, and on a log whose frames name a function `m`
+/// does not have. `meta` (optional) receives the non-sample log contents
+/// (header counters, spawns, alloc sites, comm matrix).
 bool runPostmortemStreaming(const ir::Module& m, const an::ModuleBlame* mb,
                             sampling::RunLogStreamer& streamer,
                             const StreamingPostmortemOptions& opts, BlameReport& out,

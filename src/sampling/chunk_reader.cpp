@@ -68,22 +68,30 @@ bool ChunkReader::refill() {
   return len_ > 0;
 }
 
-bool ChunkReader::getline(std::string& out) {
-  out.clear();
-  bool any = false;
+bool ChunkReader::getline(std::string_view& out, std::string& spill) {
+  if (pos_ >= len_ && !refill()) return false;
+  const char* start = data_ + pos_;
+  if (const char* nl = static_cast<const char*>(std::memchr(start, '\n', len_ - pos_))) {
+    out = std::string_view(start, static_cast<size_t>(nl - start));
+    pos_ += out.size() + 1;
+    return true;
+  }
+  // The line runs past the window: copy it out piece by piece across refills.
+  spill.clear();
   while (true) {
-    if (pos_ >= len_ && !refill()) return any;
-    const char* start = data_ + pos_;
+    start = data_ + pos_;
     const char* nl = static_cast<const char*>(std::memchr(start, '\n', len_ - pos_));
     if (nl) {
-      out.append(start, nl);
+      spill.append(start, nl);
       pos_ += static_cast<size_t>(nl - start) + 1;
-      return true;
+      break;
     }
-    out.append(start, len_ - pos_);
+    spill.append(start, len_ - pos_);
     pos_ = len_;
-    any = true;
+    if (!refill()) break;
   }
+  out = spill;
+  return true;
 }
 
 size_t ChunkReader::peek(uint8_t* dst, size_t n) {

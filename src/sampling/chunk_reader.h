@@ -44,10 +44,13 @@ class ChunkReader {
     return true;
   }
 
-  /// Reads one '\n'-terminated line (terminator stripped) into `out`.
-  /// Returns false only at end-of-stream with nothing read; a final
-  /// unterminated line is returned as-is.
-  bool getline(std::string& out);
+  /// Reads one '\n'-terminated line (terminator stripped). `out` views the
+  /// window itself when the whole line is resident — no copy — and `spill`,
+  /// a caller-owned buffer reused from line to line, when the line straddles
+  /// a refill; either way it is valid until the next read. Returns false
+  /// only at end-of-stream with nothing read; a final unterminated line is
+  /// returned as-is.
+  bool getline(std::string_view& out, std::string& spill);
 
   /// Copies up to `n` leading bytes WITHOUT consuming them; returns how many
   /// were available. `n` must be small (at most the chunk size).

@@ -3,7 +3,7 @@
 // step 3 (6-20 MB per run at the paper's scale).
 //
 // Two formats, auto-detected on load:
-//   - Text ("cblog 3 ..."): the portable line-based fallback, human-readable
+//   - Text ("cblog 6 ..."): the portable line-based fallback, human-readable
 //     and diff-friendly.
 //   - Binary (magic 0x89 'C' 'B' 'L'): a versioned compact encoding —
 //     LEB128 varints throughout, zigzag-delta compression for sample
@@ -21,22 +21,39 @@
 namespace cb::sampling {
 
 enum class RunLogFormat {
-  Text,    // "cblog 2 ..." line format (portable fallback)
+  Text,    // "cblog 6 ..." line format (portable fallback)
   Binary,  // compact varint/delta format (see serializeRunLogBinary)
 };
 
-/// Serializes a run log. Line-based (version 1/2 files, which lack some or
-/// all of the comm channel, still deserialize with the newer fields
-/// defaulted):
-///   cblog 3 <threshold> <streams> <totalCycles> <commGets> <commPuts>
-///           <commOnForks> <commAggGets> <commAggPuts> <commAggFlushes>
-///   S <stream> <tag> <cycle> <runtimeFrameKind> <accessKind> <srcLocale>
-///     <dstLocale> <n> <func:instr>*
-///   W <tag> <parentTag> <taskFn> <spawnInstr> <n> <func:instr>*
-///   A <siteKey> <bytes>
-///   M <srcLocale> <dstLocale> <count>
-///   T <tag> <chunk> <stream> <startCycle> <endCycle> <n>
-///     <site:raw:s125:s2:s4>*                        (version 6 task spans)
+/// Serializes a run log in the line-based text format. The loader accepts
+/// exactly this grammar, for versions 1 to 6 (older versions lack the
+/// fields marked v2+ ... v6; they load with those fields defaulted):
+///
+///   log     := header '\n' (record '\n')* [record]
+///   header  := "cblog" SP version SP threshold SP streams SP totalCycles
+///              [SP commGets SP commPuts SP commOnForks]              v2+
+///              [SP commAggGets SP commAggPuts SP commAggFlushes]     v3+
+///              [SP memStall SP netStall SP contention]               v4+
+///              [SP raceFallbackRegions]                              v5+
+///   record  := sample | spawn | alloc | matrix | span
+///   sample  := "S" SP stream SP tag SP cycle SP runtimeFrameKind
+///              [SP accessKind]                                       v2+
+///              [SP srcLocale SP dstLocale]                           v3+
+///              SP n (SP func ":" instr){n}
+///   spawn   := "W" SP tag SP parentTag SP taskFn SP spawnInstr
+///              SP n (SP func ":" instr){n}
+///   alloc   := "A" SP siteKey SP bytes
+///   matrix  := "M" SP srcLocale SP dstLocale SP count                v3+
+///   span    := "T" SP tag SP chunk SP stream SP startCycle SP endCycle
+///              SP n (SP site ":" raw ":" s125 ":" s2 ":" s4){n}      v6+
+///
+/// SP is exactly one space. Every field is decimal digits that fit the
+/// field's type; srcLocale and dstLocale are signed 32-bit and may carry a
+/// leading '-', every other field is unsigned and may not. accessKind is at
+/// most 3, runtimeFrameKind at most 255, endCycle >= startCycle, and a
+/// frame or site count larger than the bytes left on its line is rejected.
+/// Empty lines, other whitespace, unknown record kinds and trailing tokens
+/// make the whole log malformed.
 std::string serializeRunLog(const RunLog& log);
 
 /// Serializes a run log in the compact binary format (version-1/2 files

@@ -1,9 +1,6 @@
 #include "sampling/log_stream.h"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
+#include <charconv>
 
 #include "support/varint.h"
 
@@ -11,23 +8,50 @@ namespace cb::sampling {
 
 namespace {
 
-/// Exactly the batch parser's frame tokenizer: `strtoul` reads the digits
-/// before the colon (non-digits parse as 0, preserving the seed's
-/// acceptance) and the instr starts right after it.
-bool parseFrames(std::istringstream& in, size_t n, std::vector<Frame>& out) {
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    std::string tok;
-    if (!(in >> tok)) return false;
-    size_t colon = tok.find(':');
-    if (colon == std::string::npos) return false;
-    Frame f;
-    f.func = static_cast<ir::FuncId>(std::strtoul(tok.c_str(), nullptr, 10));
-    f.instr = static_cast<ir::InstrId>(std::strtoul(tok.c_str() + colon + 1, nullptr, 10));
-    out.push_back(f);
+/// Cursor over one text-log line, decoding the grammar stated in log_io.h
+/// in place: no stream object, no token strings. Every field is one
+/// separator followed by a decimal number that must fit its type, so a
+/// non-numeric token, a token with trailing junk, a doubled space, an
+/// out-of-range value and a minus sign on an unsigned field all fail it.
+struct LineCursor {
+  const char* p;
+  const char* end;
+
+  explicit LineCursor(std::string_view line) : p(line.data()), end(line.data() + line.size()) {}
+
+  size_t left() const { return static_cast<size_t>(end - p); }
+  bool done() const { return p == end; }
+
+  template <char Sep = ' ', typename... T>
+  bool fields(T&... out) {
+    return (field<Sep>(out) && ...);
   }
-  return true;
-}
+
+  /// "<n>" then n frames " func:instr". Each frame takes at least four
+  /// bytes, so an n larger than the rest of the line is malformed before
+  /// anything is reserved for it.
+  bool frames(std::vector<Frame>& out) {
+    size_t n;
+    if (!fields(n) || n > left()) return false;
+    out.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      Frame f;
+      if (!fields(f.func) || !fields<':'>(f.instr)) return false;
+      out.push_back(f);
+    }
+    return true;
+  }
+
+ private:
+  template <char Sep, typename T>
+  bool field(T& out) {
+    if (p == end || *p != Sep) return false;
+    auto [next, ec] = std::from_chars(p + 1, end, out);
+    if (ec != std::errc()) return false;
+    p = next;
+    return true;
+  }
+};
 
 /// Pull-based mirror of StringByteReader's zigzag-delta decoding.
 bool readDelta(ChunkReader& r, uint64_t& cur, uint64_t prev) {
@@ -154,8 +178,11 @@ bool RunLogStreamer::scanBinary(RunLog* meta, const std::function<bool(RawSample
   uint64_t nSamples;
   if (!r.varint(nSamples) || nSamples > remaining()) return false;
   uint64_t prevCycle = 0;
+  RawSample s;  // reused: its stack keeps its capacity from sample to sample
   for (uint64_t i = 0; i < nSamples; ++i) {
-    RawSample s;
+    s.accessKind = AccessKind::None;
+    s.srcLocale = s.dstLocale = 0;
+    s.stack.clear();
     uint64_t rtk;
     if (!r.varint32(s.stream) || !r.varint(s.taskTag) || !readDelta(r, s.atCycle, prevCycle) ||
         !r.varint(rtk) || rtk > 255)
@@ -254,89 +281,81 @@ bool RunLogStreamer::scanBinary(RunLog* meta, const std::function<bool(RawSample
 }
 
 // ---------------------------------------------------------------------------
-// Text scan — the line format (see serializeRunLog). Lines of different
-// kinds may interleave in any order; versions gate which fields appear.
+// Text scan — the line grammar of log_io.h, versions 1..6. Lines of different
+// kinds may interleave in any order; the version gates which fields appear.
 // ---------------------------------------------------------------------------
 
 bool RunLogStreamer::scanText(RunLog* meta, const std::function<bool(RawSample&&)>* fn) {
   ChunkReader& r = reader_;
   RunLog scratch;
   RunLog& dst = meta ? *meta : scratch;
-  std::string line;
-  int version = 0;
-  if (!r.getline(line)) return false;
-  {
-    std::istringstream h(line);
-    std::string magic;
-    if (!(h >> magic >> version >> dst.sampleThreshold >> dst.numStreams >> dst.totalCycles))
-      return false;
-    if (magic != "cblog" || version < 1 || version > 6) return false;
-    if (version >= 2 && !(h >> dst.commGets >> dst.commPuts >> dst.commOnForks)) return false;
-    if (version >= 3 && !(h >> dst.commAggGets >> dst.commAggPuts >> dst.commAggFlushes))
-      return false;
-    if (version >= 4 &&
-        !(h >> dst.commMemStallCycles >> dst.commNetStallCycles >> dst.commContentionCycles))
-      return false;
-    if (version >= 5 && !(h >> dst.raceFallbackRegions)) return false;
-  }
+  std::string_view line;
+  std::string spill;
+  if (!r.getline(line, spill) || !line.starts_with("cblog")) return false;
+  LineCursor h(line.substr(5));
+  unsigned version = 0;
+  if (!h.fields(version) || version < 1 || version > 6 ||
+      !h.fields(dst.sampleThreshold, dst.numStreams, dst.totalCycles))
+    return false;
+  if (version >= 2 && !h.fields(dst.commGets, dst.commPuts, dst.commOnForks)) return false;
+  if (version >= 3 && !h.fields(dst.commAggGets, dst.commAggPuts, dst.commAggFlushes))
+    return false;
+  if (version >= 4 &&
+      !h.fields(dst.commMemStallCycles, dst.commNetStallCycles, dst.commContentionCycles))
+    return false;
+  if (version >= 5 && !h.fields(dst.raceFallbackRegions)) return false;
+  if (!h.done()) return false;
+
   uint64_t nSamples = 0;
-  while (r.getline(line)) {
-    if (line.empty()) continue;
-    // The record kind is the first non-whitespace character (operator>>
-    // semantics); whitespace-only lines are malformed, as in the batch
-    // parser. Pass 2 only re-decodes samples — every other record kind was
-    // validated and collected by readMeta.
-    size_t first = line.find_first_not_of(" \t\r\v\f");
-    if (first == std::string::npos) return false;
-    char kind = line[first];
+  RawSample s;  // reused: its stack keeps its capacity from sample to sample
+  while (r.getline(line, spill)) {
+    if (line.empty()) return false;
+    // Pass 2 only re-decodes samples: every other record kind was validated
+    // and collected by readMeta.
+    char kind = line[0];
     if (!meta && kind != 'S') continue;
-    std::istringstream in(line);
-    in >> kind;
+    LineCursor in(line.substr(1));
     if (kind == 'S') {
-      RawSample s;
-      int rtk = 0, ak = 0;
-      size_t n = 0;
-      if (!(in >> s.stream >> s.taskTag >> s.atCycle >> rtk)) return false;
-      if (version >= 2 && !(in >> ak)) return false;
-      if (version >= 3 && !(in >> s.srcLocale >> s.dstLocale)) return false;
-      if (!(in >> n)) return false;
+      uint8_t rtk = 0, ak = 0;
+      s.srcLocale = s.dstLocale = 0;
+      s.stack.clear();
+      if (!in.fields(s.stream, s.taskTag, s.atCycle, rtk)) return false;
+      if (version >= 2 && (!in.fields(ak) || ak > 3)) return false;
+      if (version >= 3 && !in.fields(s.srcLocale, s.dstLocale)) return false;
+      if (!in.frames(s.stack) || !in.done()) return false;
       s.runtimeFrame = static_cast<RuntimeFrameKind>(rtk);
       s.accessKind = static_cast<AccessKind>(ak);
-      if (!parseFrames(in, n, s.stack)) return false;
       ++nSamples;
       if (fn && !(*fn)(std::move(s))) return false;
     } else if (kind == 'W') {
       SpawnRecord rec;
-      size_t n = 0;
-      if (!(in >> rec.tag >> rec.parentTag >> rec.taskFn >> rec.spawnInstr >> n)) return false;
-      if (!parseFrames(in, n, rec.preSpawnStack)) return false;
+      if (!in.fields(rec.tag, rec.parentTag, rec.taskFn, rec.spawnInstr) ||
+          !in.frames(rec.preSpawnStack) || !in.done())
+        return false;
       dst.spawns.emplace(rec.tag, std::move(rec));
     } else if (kind == 'A') {
-      uint64_t key = 0, bytes = 0;
-      if (!(in >> key >> bytes)) return false;
+      uint64_t key, bytes;
+      if (!in.fields(key, bytes) || !in.done()) return false;
       dst.allocBytesBySite[key] = bytes;
     } else if (kind == 'M' && version >= 3) {
-      int64_t src = 0, dstLoc = 0;
-      uint64_t count = 0;
-      if (!(in >> src >> dstLoc >> count)) return false;
+      int32_t src, dstLoc;
+      uint64_t count;
+      if (!in.fields(src, dstLoc, count) || !in.done()) return false;
       dst.commMatrix[RunLog::pairKey(src, dstLoc)] = count;
     } else if (kind == 'T' && version >= 6) {
       TaskSpan sp;
-      size_t n = 0;
-      if (!(in >> sp.tag >> sp.chunk >> sp.stream >> sp.startCycle >> sp.endCycle >> n) ||
-          sp.endCycle < sp.startCycle)
+      size_t n;
+      // Each site " site:raw:s125:s2:s4" takes at least ten bytes.
+      if (!in.fields(sp.tag, sp.chunk, sp.stream, sp.startCycle, sp.endCycle, n) ||
+          sp.endCycle < sp.startCycle || n > in.left())
         return false;
       sp.sites.reserve(n);
       for (size_t i = 0; i < n; ++i) {
-        std::string tok;
-        if (!(in >> tok)) return false;
         SiteCycles sc;
-        // site:raw:s125:s2:s4 — five colon-separated decimal fields.
-        if (std::sscanf(tok.c_str(), "%" SCNu64 ":%" SCNu64 ":%" SCNu64 ":%" SCNu64 ":%" SCNu64,
-                        &sc.site, &sc.raw, &sc.s125, &sc.s2, &sc.s4) != 5)
-          return false;
+        if (!in.fields(sc.site) || !in.fields<':'>(sc.raw, sc.s125, sc.s2, sc.s4)) return false;
         sp.sites.push_back(sc);
       }
+      if (!in.done()) return false;
       dst.taskSpans.push_back(std::move(sp));
     } else {
       return false;

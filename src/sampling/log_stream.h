@@ -1,6 +1,6 @@
 // Incremental run-log decoding over the buffered ChunkReader — the
 // streaming-ingestion layer of the profiling service. One scanner decodes
-// both on-disk formats (text and binary, versions 1-5, auto-detected), and
+// both on-disk formats (text and binary, versions 1-6, auto-detected), and
 // every load path goes through it:
 //
 //   - deserializeRunLog / loadRunLog (the batch compatibility shims) run a

@@ -40,7 +40,7 @@ std::string usageText() {
       "  --save-log PATH       write the raw monitoring dataset to PATH\n"
       "  --from-log PATH       skip execution: stream an existing run log (text or\n"
       "                        binary) through the memory-bounded post-mortem\n"
-      "  --stream-chunk N      samples per streaming attribution batch (default 4096)\n"
+      "  --stream-chunk N      samples per --from-log accounting chunk (default 4096)\n"
       "  --cache-dir PATH      on-disk analysis cache (also: $CB_CACHE_DIR)\n"
       "  --html PATH           write a standalone HTML report (the GUI) to PATH\n"
       "  --no-idle             do not sample idle workers\n"

@@ -499,6 +499,72 @@ TEST(LogIoCompat, Version3TextStillLoads) {
   EXPECT_EQ(log.commMatrix.at(sampling::RunLog::pairKey(0, 1)), 64u);
 }
 
+// ---------------------------------------------------------------------------
+// Text grammar (log_io.h): exactly what serializeRunLog writes is accepted.
+// ---------------------------------------------------------------------------
+
+constexpr const char* kV6Header = "cblog 6 101 2 5000 0 0 0 0 0 0 0 0 0 0\n";
+
+TEST(LogIoText, OversizedCountsAreMalformed) {
+  sampling::RunLog out;
+  for (const char* record : {
+           "S 0 0 150 0 0 0 0 18446744073709551615 0:1\n",  // frame count
+           "S 0 0 150 0 0 0 0 99 0:1\n",                    // more than the line holds
+           "W 1 0 0 0 4611686018427387904 0:1\n",           // spawn frame count
+           "T 0 0 0 0 10 18446744073709551615 0:1:1:1:1\n",  // site count
+           "T 0 0 0 0 10 99 0:1:1:1:1\n",
+       })
+    EXPECT_FALSE(sampling::deserializeRunLog(std::string(kV6Header) + record, out)) << record;
+}
+
+TEST(LogIoText, RejectsCorruptTokens) {
+  sampling::RunLog out;
+  // Each record is well-formed but for the named defect, which the seed's
+  // stream-based parser let through (mostly as frame 0:0 or a wrapped value).
+  for (const char* record : {
+           "S 0 0 150 0 0 0 0 1 0:1 trailing junk\n",  // trailing tokens
+           "S 0 0 150 0 0 0 0 1 x:y\n",                // non-numeric frame
+           "S 0 0 150 0 0 0 0 1 0:1x\n",               // junk glued to a token
+           "S 0 0 150 0 0 0 0 1 0\n",                  // frame without ':'
+           "S 0 0 -150 0 0 0 0 0\n",                   // minus on an unsigned field
+           "S 0 0 +150 0 0 0 0 0\n",                   // plus sign
+           "S 0 0 150 -1 0 0 0 0\n",                   // negative runtime frame kind
+           "S 0 0 150 0 4 0 0 0\n",                    // access kind out of range
+           "S 0 0 150 256 0 0 0 0\n",                  // runtime frame kind out of range
+           "S 4294967296 0 150 0 0 0 0 0\n",           // stream overflows 32 bits
+           "S 0 0 150 0 0 0 0 1 4294967296:0\n",       // func overflows 32 bits
+           "S  0 0 150 0 0 0 0 0\n",                   // doubled space
+           "S\t0 0 150 0 0 0 0 0\n",                   // tab separator
+           "S 0 0 150 0 0 0 0 0 \n",                   // trailing space
+           "S 0 0 150 0 0 0 0 0\r\n",                  // CRLF line ending
+           " S 0 0 150 0 0 0 0 0\n",                   // leading space
+           "W 1 0 0 0 1 -3:7\n",                       // minus in a spawn frame
+           "A 77 4096 1\n",                            // trailing alloc token
+           "A -77 4096\n",                             // minus on an alloc key
+           "M 0 1 64 0\n",                             // trailing matrix token
+           "M 0 4294967296 64\n",                      // locale overflows 32 bits
+           "T 0 0 0 0 10 1 0:1:1:1\n",                 // four-field site
+           "T 0 0 0 0 10 1 0:1:1:1:1:1\n",             // six-field site
+           "T 0 0 0 10 0 0\n",                         // end before start
+           "\n",                                       // empty line
+       })
+    EXPECT_FALSE(sampling::deserializeRunLog(std::string(kV6Header) + record, out)) << record;
+  EXPECT_FALSE(sampling::deserializeRunLog("cblog 6 101 2 5000 0 0 0 0 0 0 0 0 0 0 9\n", out));
+  EXPECT_FALSE(sampling::deserializeRunLog("cblog 1 101 2 5000 7\n", out));
+  EXPECT_FALSE(sampling::deserializeRunLog("cblogx 1 101 2 5000\n", out));
+  // The forms serializeRunLog writes still load, including a signed locale.
+  ASSERT_TRUE(sampling::deserializeRunLog(
+      std::string(kV6Header) + "S 0 3 150 0 2 -1 1 2 0:1 4:9\nM -1 1 64\nT 0 0 0 0 10 1 " +
+          "0:10:8:5:3",
+      out));
+  ASSERT_EQ(out.samples.size(), 1u);
+  EXPECT_EQ(out.samples[0].srcLocale, -1);
+  EXPECT_EQ(out.samples[0].stack.size(), 2u);
+  EXPECT_EQ(out.commMatrix.at(sampling::RunLog::pairKey(-1, 1)), 64u);
+  ASSERT_EQ(out.taskSpans.size(), 1u);
+  EXPECT_EQ(out.taskSpans[0].sites[0].s4, 3u);
+}
+
 /// Minimal varint writer mirroring the on-disk encoding, for assembling
 /// frozen old-version binary fixtures by hand.
 void putV(std::string& s, uint64_t v) {

@@ -13,6 +13,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <thread>
 
 #include "service/client.h"
@@ -150,6 +151,27 @@ TEST(ServiceJob, FromLogRejectsViewsNeedingLiveState) {
   svc::JobResult r = svc::runJob({"minimd", "--from-log", logPath, "--view", "pprof"});
   EXPECT_EQ(r.exitCode, 2);
   std::filesystem::remove(logPath);
+}
+
+// A frame or site count far beyond the line must fail as a malformed log
+// (exit 1), not reach an allocation and surface as an internal error.
+TEST(ServiceJob, FromLogOversizedCountIsMalformedNotInternalError) {
+  const std::string header = "cblog 6 101 2 5000 0 0 0 0 0 0 0 0 0 0\n";
+  for (const std::string& record :
+       {std::string("S 0 0 150 0 0 0 0 18446744073709551615 0:1\n"),
+        std::string("W 1 0 0 0 4611686018427387904 0:1\n"),
+        std::string("T 0 0 0 0 10 18446744073709551615 0:1:1:1:1\n")}) {
+    std::string logPath = ::testing::TempDir() + "/cb_svc_hugecount.cblog";
+    {
+      std::ofstream f(logPath, std::ios::binary | std::ios::trunc);
+      f << header << record;
+    }
+    svc::JobResult r = svc::runJob({"example", "--from-log", logPath});
+    EXPECT_EQ(r.exitCode, 1) << record << r.err;
+    EXPECT_NE(r.err.find("cannot stream run log"), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find("(missing or malformed)"), std::string::npos) << r.err;
+    std::filesystem::remove(logPath);
+  }
 }
 
 TEST(ServiceJob, ResidentCacheHitSkipsRecompileAndMatches) {

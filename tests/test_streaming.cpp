@@ -145,6 +145,53 @@ TEST(PropertyStreamingFuzz, ChunkedFileAcceptanceEqualsMemoryAcceptance) {
   }
 }
 
+// Text twin of the fuzz above. Text logs have no length prefix, so a cut at
+// a line boundary is usually a valid shorter log: the property is agreement
+// and stability, not rejection. Accepted logs must re-serialize to a fixed
+// point — compared through the binary form, whose record order is canonical
+// (the text form writes hash-map order, which may differ between two loads).
+TEST(PropertyStreamingFuzz, TextChunkedFileAcceptanceEqualsMemoryAcceptance) {
+  sampling::RunLog log = makeLog();
+  std::string data = sampling::serializeRunLog(log);
+  std::string path = ::testing::TempDir() + "/cb_stream_fuzz_text.cblog";
+  uint64_t accepted = 0;
+  auto check = [&](const std::string& mutated, const std::string& what) {
+    sampling::RunLog viaMem, viaFile;
+    bool memOk = sampling::deserializeRunLog(mutated, viaMem);
+    writeTemp("cb_stream_fuzz_text.cblog", mutated);
+    sampling::RunLogStreamer s;
+    ASSERT_TRUE(s.openFile(path, 1));
+    bool fileOk = s.readAll(viaFile);
+    EXPECT_EQ(fileOk, memOk) << what;
+    if (!memOk || !fileOk) return;
+    ++accepted;
+    std::string canon = sampling::serializeRunLogBinary(viaMem);
+    EXPECT_EQ(sampling::serializeRunLogBinary(viaFile), canon) << what;
+    sampling::RunLog again;
+    ASSERT_TRUE(sampling::deserializeRunLog(sampling::serializeRunLog(viaMem), again)) << what;
+    EXPECT_EQ(sampling::serializeRunLogBinary(again), canon) << what;
+  };
+
+  for (size_t nl = data.find('\n'); nl != std::string::npos; nl = data.find('\n', nl + 1)) {
+    check(data.substr(0, nl), "cut before newline at " + std::to_string(nl));
+    check(data.substr(0, nl + 1), "cut after newline at " + std::to_string(nl));
+  }
+  Rng rng(0x7E57106);
+  const std::string kFlips = "0123456789:- xS";
+  for (int trial = 0; trial < 300; ++trial) {
+    std::string mutated = data;
+    if (trial % 3 == 0) {
+      mutated.resize(rng.nextBounded(data.size() + 1));
+    } else {
+      for (int k = 0; k < 1 + trial % 3; ++k)  // digit, letter and space flips
+        mutated[rng.nextBounded(mutated.size())] = kFlips[rng.nextBounded(kFlips.size())];
+    }
+    check(mutated, "trial " + std::to_string(trial));
+  }
+  EXPECT_GT(accepted, 0u);
+  std::remove(path.c_str());
+}
+
 TEST(StreamingLog, LoadRunLogRejectsTruncatedFiles) {
   sampling::RunLog log = makeLog();
   std::string data = sampling::serializeRunLogBinary(log);
@@ -190,6 +237,45 @@ TEST(PropertyStreamingPostmortem, ChunkSizeInvariance) {
     EXPECT_EQ(stats.chunks, (stats.samples + chunk - 1) / chunk);
   }
 }
+
+// Streaming == batch on every corpus program at a dense threshold, through
+// both serializations and at chunk sizes that split a sample run anywhere.
+// ig_naive and clomp record tens of spawn records, so their stacks glue
+// through several levels of pre-spawn prefixes.
+class PropertyStreamingCorpus : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(PropertyStreamingCorpus, StreamedEqualsBatchOnTextAndBinary) {
+  Profiler p;
+  // `example` runs only ~49 virtual cycles, so it needs a far denser rate.
+  p.options().run.sampleThreshold = std::string(GetParam()) == "example" ? 7 : 997;
+  ASSERT_TRUE(p.compileFile(assetProgram(GetParam())) && p.analyze() && p.run())
+      << p.lastError();
+  const ir::Module& m = p.compilation()->module();
+  const sampling::RunLog& log = p.runResult()->log;
+  ASSERT_FALSE(log.samples.empty());
+  pm::BlameReport batch = pm::attribute(*p.moduleBlame(), pm::consolidate(m, log, {}), {});
+
+  for (const std::string& data :
+       {sampling::serializeRunLog(log), sampling::serializeRunLogBinary(log)}) {
+    for (uint32_t chunk : {1u, 7u, 4096u}) {
+      sampling::RunLogStreamer s;
+      s.openString(data);
+      pm::StreamingPostmortemOptions opts;
+      opts.chunkSamples = chunk;
+      pm::BlameReport streamed;
+      pm::StreamingPostmortemStats stats;
+      ASSERT_TRUE(pm::runPostmortemStreaming(m, p.moduleBlame(), s, opts, streamed, nullptr,
+                                             &stats));
+      EXPECT_TRUE(streamed == batch) << GetParam() << " chunk " << chunk;
+      EXPECT_EQ(stats.samples, log.samples.size());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Programs, PropertyStreamingCorpus,
+                         ::testing::Values("example", "minimd", "minimd_opt", "minimd_blockloc",
+                                           "minimd_badloc", "clomp", "clomp_opt", "lulesh",
+                                           "weakscale", "ig_naive", "ig_agg"));
 
 TEST(StreamingPostmortem, PeakMemoryIndependentOfLogLength) {
   ProfileOptions popts;
