@@ -1062,11 +1062,13 @@ class Mirror {
       if (!r.parentName.empty()) os << " in " << r.parentName;
       os << " cannot be proven race-free: " << r.verdict.reason
          << "; the deterministic replayer will run it sequentially";
-      const ir::Function& fn = m_.function(r.taskFn);
       size_t shown = 0;
       for (const race::Offender& o : r.verdict.offenders) {
         if (shown++ >= 2) break;
         os << " [" << o.what;
+        // Offenders may point into an inlined callee: cite its line.
+        const ir::Function& fn =
+            m_.function(o.fn < m_.numFunctions() ? o.fn : r.taskFn);
         if (o.instr != ir::kNone && o.instr < fn.numInstrs())
           os << " at " << shortLoc(m_, fn.instrs[o.instr].loc);
         os << "]";

@@ -1,11 +1,9 @@
 // Race-freedom prover for forall/coforall task functions.
 //
-// This is the formalized version of the parallel-replay eligibility analysis
-// that used to live privately inside the bytecode compiler
-// (src/runtime/bytecode.cpp). Both execution engines now gate their
-// parallel-replay decision on the verdicts produced here, and the lint pass
-// (analysis/locality.h) reports the same verdicts as diagnostics explaining
-// WHY a region fell back to sequential replay.
+// Both execution engines gate their parallel-replay decision on the verdicts
+// produced here, and the lint pass (analysis/locality.h) reports the same
+// verdicts as diagnostics explaining WHY a region fell back to sequential
+// replay.
 //
 // The analysis is a flow-insensitive abstract interpretation of the outlined
 // task function. Integer values are classified relative to the chunk loop:
@@ -17,10 +15,26 @@
 // captures, possibly through record-field paths); every element access
 // through a root is summarized by the signature of its index vector.
 //
+// Three rules widen what counts as an access through a root:
+//   - Calls are inlined abstractly: each call site gets its own copy of the
+//     callee's abstract state with the formals bound to the caller's
+//     abstract actuals, so the callee's loads and stores land on the task
+//     function's roots (and a `ref` formal bound to a task-local variable
+//     updates that variable). Recursion, chains deeper than kMaxCallDepth
+//     and callees returning arrays or references stay obstructions.
+//   - An array loaded from an element of root R at signature S (an array of
+//     arrays, or a record field holding an array) is a sub-array owned by
+//     R[S]: every access through it is recorded as an access to R at S. The
+//     engine's runtime half checks that distinct elements own distinct
+//     sub-arrays that alias no root (RootRef::subArrays).
+//   - A view (slice / domain remap) of root R is an arbitrary-index access
+//     of R: reads through it are fine, and a store through it makes R
+//     written at an arbitrary index, which the root rule rejects.
+//
 // A region is RaceFree when each written root is touched through exactly one
 // disjointness-bearing signature and nothing falls outside the abstraction
-// (calls, nested spawns, RNG, global or capture stores, views, escaping
-// handles...). Anything not understood degrades to MayRace — i.e. a
+// (nested spawns, RNG, `on` blocks, aggregators, global or capture stores,
+// escaping handles...). Anything not understood degrades to MayRace — i.e. a
 // sequential fallback — never to an actual replay race. Soundness therefore
 // only depends on the *positive* direction: RaceFree must imply that
 // worker-stream replay order cannot change any observable value.
@@ -47,10 +61,15 @@ struct RootRef {
   uint32_t index = 0;       // GlobalId or task-fn arg index
   std::vector<uint32_t> path;
   bool written = false;     // some task may write elements of this root
+  /// Tasks access arrays owned by this root's elements (sub-array rule):
+  /// parallel replay additionally requires every element to own distinct
+  /// storage that aliases no root.
+  bool subArrays = false;
 };
 
 /// One access (or other instruction) that defeated the proof.
 struct Offender {
+  ir::FuncId fn = ir::kNone;     // function `instr` indexes (the task fn or a callee)
   ir::InstrId instr = ir::kNone;
   bool isWrite = false;
   std::string what;         // short description of the offending operation
@@ -66,9 +85,10 @@ struct Verdict {
   std::vector<RootRef> roots;       // all roots seen (valid when raceFree)
 };
 
-/// Analyzes one outlined task function. Deterministic and side-effect free;
-/// the eligibility decision is bit-identical to the historical in-engine
-/// analysis (the instrumentation only *annotates* failures).
+/// Deepest call chain the prover inlines below a task function.
+inline constexpr uint32_t kMaxCallDepth = 8;
+
+/// Analyzes one outlined task function. Deterministic and side-effect free.
 Verdict analyzeTaskFunction(const ir::Module& m, ir::FuncId taskFn);
 
 /// Memoizing wrapper for engines / lint passes that query per spawn site.

@@ -44,12 +44,20 @@ class PrefixCache {
   const std::vector<sampling::Frame> empty_;
 };
 
-bool knownFunctions(const ir::Module& m, const std::vector<sampling::Frame>& frames) {
-  return std::all_of(frames.begin(), frames.end(),
-                     [&m](const sampling::Frame& f) { return f.func < m.numFunctions(); });
+}  // namespace
+
+bool framesMatchModule(const ir::Module& m, const std::vector<sampling::Frame>& frames) {
+  return std::all_of(frames.begin(), frames.end(), [&m](const sampling::Frame& f) {
+    return f.func < m.numFunctions() && f.instr < m.function(f.func).numInstrs();
+  });
 }
 
-}  // namespace
+bool logMatchesModule(const ir::Module& m, const sampling::RunLog& log) {
+  for (const auto& [tag, rec] : log.spawns)
+    if (!framesMatchModule(m, rec.preSpawnStack)) return false;
+  return std::all_of(log.samples.begin(), log.samples.end(),
+                     [&m](const sampling::RawSample& s) { return framesMatchModule(m, s.stack); });
+}
 
 bool runPostmortemStreaming(const ir::Module& m, const an::ModuleBlame* mb,
                             sampling::RunLogStreamer& streamer,
@@ -60,10 +68,10 @@ bool runPostmortemStreaming(const ir::Module& m, const an::ModuleBlame* mb,
   sampling::RunLog local;
   sampling::RunLog& header = meta ? *meta : local;
   if (!streamer.readMeta(header)) return false;
-  // A frame naming a function the module does not have makes the log
-  // malformed: it was recorded from another program.
+  // A frame naming a function or instruction the module does not have makes
+  // the log malformed: it was recorded from another program.
   for (const auto& [tag, rec] : header.spawns)
-    if (!knownFunctions(m, rec.preSpawnStack)) return false;
+    if (!framesMatchModule(m, rec.preSpawnStack)) return false;
 
   const uint32_t chunkCap = std::max<uint32_t>(opts.chunkSamples, 1);
   std::optional<Attributor> attributor;
@@ -85,10 +93,10 @@ bool runPostmortemStreaming(const ir::Module& m, const an::ModuleBlame* mb,
   // cache and fed to the one attributor that lives for the whole stream.
   bool ok = streamer.forEachSample([&](sampling::RawSample&& s) {
     ++acct.samples;
+    if (!framesMatchModule(m, s.stack)) return false;
     if (s.runtimeFrame != sampling::RuntimeFrameKind::None) {
       if (attributor) attributor->addIdle();
     } else {
-      if (!knownFunctions(m, s.stack)) return false;
       if (attributor) {
         const std::vector<sampling::Frame>& prefix = prefixes.of(s.taskTag);
         path.assign(prefix.begin(), prefix.end());

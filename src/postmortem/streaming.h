@@ -43,13 +43,22 @@ struct StreamingPostmortemStats {
   size_t peakAccumulatorBytes = 0;  // max attributor + prefix-cache footprint observed
 };
 
+/// The one frame-validation rule for a log read back against a module:
+/// every frame names a function `m` has and an instruction inside it. A log
+/// that breaks it was recorded from another program, and both the streaming
+/// and the batch `--from-log` paths reject it as malformed.
+bool framesMatchModule(const ir::Module& m, const std::vector<sampling::Frame>& frames);
+
+/// framesMatchModule over every sample stack and spawn pre-spawn stack.
+bool logMatchesModule(const ir::Module& m, const sampling::RunLog& log);
+
 /// Runs the two-pass streaming protocol over an opened streamer: readMeta
 /// (validates the whole log, collects spawns/alloc/comm), then glues and
 /// attributes the samples one by one. Fills `out` with the report; with
 /// mb == nullptr attribution is skipped and `out` is the empty report
 /// (matching the sharded path's --fast semantics). Returns false on input
-/// the batch loader rejects, and on a log whose frames name a function `m`
-/// does not have. `meta` (optional) receives the non-sample log contents
+/// the batch loader rejects, and on a log whose frames break
+/// framesMatchModule. `meta` (optional) receives the non-sample log contents
 /// (header counters, spawns, alloc sites, comm matrix).
 bool runPostmortemStreaming(const ir::Module& m, const an::ModuleBlame* mb,
                             sampling::RunLogStreamer& streamer,

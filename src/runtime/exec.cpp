@@ -1039,10 +1039,45 @@ class Engine {
                               ThreadPool::defaultConcurrency());
   }
 
+  /// Appends the storage of every array `v` holds (through record fields,
+  /// tuple elements and, when the elements hold arrays, nested arrays).
+  /// Elements of one array share a type, so probing the first element
+  /// decides whether the others need walking.
+  static void collectOwnedArrays(const Value& v, std::vector<const ArrayObj*>& out) {
+    switch (v.kind) {
+      case VKind::Array: {
+        if (!v.arr) return;
+        ArrayObj* a = v.arr.get();
+        out.push_back(a->base ? a->base.get() : a);
+        const Value* first = a->atLinear(0);
+        if (!first || !holdsArrays(*first)) return;
+        for (int64_t k = 0, n = a->dom.size(); k < n; ++k)
+          if (const Value* e = a->atLinear(k)) collectOwnedArrays(*e, out);
+        return;
+      }
+      case VKind::Record:
+      case VKind::Tuple:
+        for (const Value& e : v.elems) collectOwnedArrays(e, out);
+        return;
+      default: return;
+    }
+  }
+  static bool holdsArrays(const Value& v) {
+    if (v.kind == VKind::Array) return true;
+    if (v.kind != VKind::Record && v.kind != VKind::Tuple) return false;
+    for (const Value& e : v.elems)
+      if (holdsArrays(e)) return true;
+    return false;
+  }
+
   /// Runtime half of the eligibility decision: resolves every analyzed root
   /// to a concrete array, then rejects the region if two distinct static
   /// roots reach the same storage and one of them is written (unforeseen
-  /// aliasing — e.g. the same array captured twice).
+  /// aliasing — e.g. the same array captured twice). For roots whose
+  /// element-owned sub-arrays the tasks access (RootRef::subArrays), it walks
+  /// the root's base storage once and rejects the region when two elements
+  /// share a sub-array or a sub-array is some root's storage: the prover
+  /// charged every sub-array access to its owning element.
   bool canParallelize(const bc::SpawnPlan& plan, size_t numChunks,
                       const std::vector<Value>& extra, Ctx& ctx) {
     if (!plan.eligible) return false;
@@ -1078,6 +1113,18 @@ class Engine {
       for (size_t j = i + 1; j < canon.size(); ++j)
         if (canon[i] == canon[j] && (plan.roots[i].written || plan.roots[j].written))
           return false;
+    std::vector<const ArrayObj*> owners, subs;
+    for (size_t i = 0; i < canon.size(); ++i)
+      if (plan.roots[i].subArrays &&
+          std::find(owners.begin(), owners.end(), canon[i]) == owners.end())
+        owners.push_back(canon[i]);
+    if (owners.empty()) return true;
+    for (const ArrayObj* o : owners)
+      for (const Value& e : o->data) collectOwnedArrays(e, subs);
+    std::sort(subs.begin(), subs.end());
+    if (std::adjacent_find(subs.begin(), subs.end()) != subs.end()) return false;
+    for (const ArrayObj* c : canon)
+      if (std::binary_search(subs.begin(), subs.end(), c)) return false;
     return true;
   }
 
@@ -1325,8 +1372,8 @@ void Engine::runParallel(Ctx& ctx, FuncId taskFn, const bc::BInstr& bi,
       wc.cycles = cyc.data();
       wc.allocVec = &S.allocs;
       wc.echo = false;
-      // The plan bails on OnBegin (and on Call), so the region's locale is
-      // constant: inherit it, with per-worker comm tallies.
+      // The plan bails on OnBegin (in callees too), so the region's locale
+      // is constant: inherit it, with per-worker comm tallies.
       wc.locale = ctx.locale;
       uint64_t wGets = 0, wPuts = 0, wForks = 0;
       uint64_t wAggGets = 0, wAggPuts = 0, wAggFlushes = 0;

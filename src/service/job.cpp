@@ -261,7 +261,8 @@ JobResult runJobInner(const std::vector<std::string>& args, const JobContext& ct
     // Causal diagnosis needs the full log (task spans + per-site splits),
     // so this path materializes it instead of streaming.
     sampling::RunLog log;
-    if (!sampling::loadRunLog(fromLogPath, log))
+    if (!sampling::loadRunLog(fromLogPath, log) ||
+        !pm::logMatchesModule(profiler.compilation()->module(), log))
       return fail("cannot load run log '" + fromLogPath + "' (missing or malformed)");
     profiler.attachRunLog(std::move(log));
     if (!profiler.postProcess()) return fail(profiler.lastError());

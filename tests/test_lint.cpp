@@ -281,11 +281,14 @@ TEST(Lint, RaceFallbackRegionsPinnedPerProgram) {
   // programs do contain unprovable regions (reduction-shaped foralls,
   // rotated scatters), so — deviating from the original issue sketch, which
   // assumed zero — the assertion is that the counter is *stable*, and zero
-  // exactly where the program really has no unprovable region.
+  // exactly where the program really has no unprovable region. MiniMD's
+  // remaining entry is initAtoms (it draws from the RNG); LULESH's six are
+  // IntegrateStressForElems and CalcFBHourglassForceForElems, whose
+  // `fx[c(k)] +=` scatters really do collide on shared nodes.
   const std::pair<const char*, uint64_t> expected[] = {
-      {"example", 0},   {"minimd", 25},     {"minimd_opt", 25},
-      {"minimd_blockloc", 0}, {"minimd_badloc", 0}, {"clomp", 81},
-      {"clomp_opt", 81}, {"lulesh", 6},     {"weakscale", 0},
+      {"example", 0},   {"minimd", 1},      {"minimd_opt", 1},
+      {"minimd_blockloc", 0}, {"minimd_badloc", 0}, {"clomp", 0},
+      {"clomp_opt", 0}, {"lulesh", 6},      {"weakscale", 0},
       {"ig_naive", 32},  {"ig_agg", 64},
   };
   for (const auto& [name, count] : expected) {

@@ -174,6 +174,40 @@ TEST(ServiceJob, FromLogOversizedCountIsMalformedNotInternalError) {
   }
 }
 
+// A log recorded from another program names functions or instructions the
+// module lacks. The streaming path and the batch path (--diagnose) apply the
+// same frame rule: each bad form exits 1 as malformed on both, never with an
+// internal error and never silently.
+TEST(ServiceJob, FromLogForeignFrameIsMalformedOnBothPaths) {
+  const std::string header = "cblog 6 101 2 5000 0 0 0 0 0 0 0 0 0 0\n";
+  const std::string logPath = ::testing::TempDir() + "/cb_svc_foreign.cblog";
+  auto runWith = [&](const std::string& record, bool diagnose) {
+    {
+      std::ofstream f(logPath, std::ios::binary | std::ios::trunc);
+      f << header << record;
+    }
+    std::vector<std::string> argv = {"example", "--from-log", logPath};
+    if (diagnose) argv.push_back("--diagnose");
+    return svc::runJob(argv);
+  };
+  for (bool diagnose : {false, true}) {
+    SCOPED_TRACE(diagnose ? "batch (--diagnose)" : "streaming");
+    svc::JobResult good = runWith("S 0 0 150 0 0 0 0 1 1:2\n", diagnose);
+    EXPECT_EQ(good.exitCode, 0) << good.err;
+    for (const std::string& record :
+         {std::string("S 0 0 150 0 0 0 0 1 999:1\n"),        // unknown function
+          std::string("S 0 0 150 0 0 0 0 1 1:999999\n"),     // instruction out of range
+          std::string("W 1 0 0 0 1 999:0\n"),                // foreign pre-spawn stack
+          std::string("W 1 0 0 0 1 1:999999\n")}) {
+      svc::JobResult r = runWith(record, diagnose);
+      EXPECT_EQ(r.exitCode, 1) << record << r.err;
+      EXPECT_NE(r.err.find("(missing or malformed)"), std::string::npos) << record << r.err;
+      EXPECT_EQ(r.err.find("internal error"), std::string::npos) << record << r.err;
+    }
+  }
+  std::filesystem::remove(logPath);
+}
+
 TEST(ServiceJob, ResidentCacheHitSkipsRecompileAndMatches) {
   cache::ResidentProgramCache resident(8);
   svc::JobContext ctx;
