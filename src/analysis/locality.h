@@ -1,17 +1,18 @@
-// Static locality-and-parallelism analysis (`cb --lint`).
+// Locality-and-parallelism lint (`cb --lint`): statistics and findings.
 //
-// Predicts, at compile time, the PGAS communication behaviour the virtual
-// runtime would measure: for every distributed array, the expected
-// local/remote-GET/remote-PUT split, the locale-pair footprint, and a
+// Predicts, before a profiled run, the PGAS communication split the paper's
+// data-centric view measures: for every distributed array, the local /
+// remote-GET / remote-PUT split, the locale-pair footprint, and a
 // counterfactual split under the swapped Block<->Cyclic distribution. The
-// predictor is a concrete mirror of the CIR interpreter's array-ownership
-// semantics (src/runtime/interp.cpp): it evaluates index expressions against
-// each array's `dmapped` domain exactly as the runtime would, but without the
-// PMU, worker streams, or sampling machinery — so on a well-formed module the
-// predicted remote GET/PUT counts equal the RunLog's commGets/commPuts
-// bit-for-bit (tests/test_lint.cpp asserts this on generated programs).
+// numbers come from the program itself: rt::lint (runtime/lint.h) executes
+// the module once on the bytecode engine with sampling off and a Collector
+// attached, and the engine reports every array allocation, named array
+// store, element access, agg.copy and spawn to it. The predicted remote
+// GET/PUT counts therefore equal the RunLog's commGets/commPuts by
+// construction (tests/test_lint.cpp checks them against the reference
+// interpreter, which shares no code with the collector).
 //
-// On top of the per-site statistics, the linter derives findings:
+// On top of the per-array statistics, the Collector derives findings:
 //   - DistributionMismatch: a mostly-remote array whose swapped distribution
 //     would be mostly-local ("`Pos` is Cyclic but iterated in Block chunks;
 //     suggest `dmapped Block`").
@@ -20,8 +21,8 @@
 //   - MayRaceRegion: a forall/coforall region the race-freedom prover
 //     (analysis/race.h) could not clear, with the reason and the offending
 //     instructions — these regions silently serialize at replay time.
-//   - AnalysisTruncated: the mirror hit its step budget; statistics are a
-//     prefix of the program, not the whole run.
+//   - AnalysisTruncated: the run hit RunOptions::maxInstructions or stopped
+//     on a runtime error; statistics cover a prefix of the program.
 //
 // The static-vs-dynamic differential (predicted split vs a measured
 // BlameReport) lives in the report layer (rpt::lintView), which can see the
@@ -29,41 +30,25 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "analysis/race.h"
 #include "ir/module.h"
 
+namespace cb::rt {
+struct ArrayObj;
+}
+
 namespace cb::an::loc {
 
-struct Params {
-  /// Simulated locale count / starting locale, matching
-  /// rt::RunOptions::numLocales / localeId for exact-parity checks.
-  uint32_t numLocales = 4;
-  uint32_t homeLocale = 0;
-  /// Abstract instruction budget: the mirror stops (truncated = true) rather
-  /// than run away on huge inputs. Statistics stay valid as a prefix.
-  uint64_t stepBudget = 400000000ULL;
-  /// config-const overrides, exactly like rt::RunOptions::configOverrides.
-  std::unordered_map<std::string, std::string> configOverrides;
-  uint64_t rngSeed = 0x5eedULL;  // mirror of RunOptions::rngSeed
-  /// Per-instruction static cost, used only for the expected-sample-mass
-  /// model behind ArrayStats::remoteFraction (injected so the analysis
-  /// library needs no runtime dependency; pass rt::CostModel::cost).
-  /// When empty, fractions fall back to raw access counts.
-  std::function<uint64_t(const ir::Instr&)> instrCost;
-  /// Cycle surcharges for remote transfers under the mass model; defaults
-  /// match rt::CostProfile::standard().
-  uint64_t remoteGetCost = 600, remotePutCost = 700, viewIndexExtraCost = 10;
-  /// Naive remote accesses inside one parallel region before a
-  /// MissingAggregator finding fires (default: the aggregator buffer
-  /// capacity, where batching starts to pay).
-  uint64_t aggSuggestThreshold = 64;
-};
+/// Naive remote accesses inside parallel regions before a MissingAggregator
+/// finding fires: the aggregator buffer capacity, where batching starts to
+/// pay.
+inline constexpr uint64_t kAggSuggestThreshold = 64;
 
 enum class FindingKind : uint8_t {
   DistributionMismatch,
@@ -120,8 +105,8 @@ struct ArrayStats {
   std::map<uint64_t, uint64_t> pairTransfers;  // RunLog::pairKey -> count
 
   uint64_t remoteCount() const { return remoteGets + remotePuts; }
-  /// Predicted remote share of this variable's samples: by cycle mass when a
-  /// cost function was supplied, by access counts otherwise.
+  /// Predicted remote share of this variable's samples: by cycle mass, or
+  /// by access counts when no mass was recorded.
   double remoteFraction() const;
   double countFraction() const;
   double counterfactualFraction() const;
@@ -133,18 +118,18 @@ struct RegionReport {
   bool isCoforall = false;
   std::string parentName;    // enclosing user function display name
   SourceLoc loc;             // source location of the forall/coforall
-  bool executed = false;     // reached by the mirror
+  bool executed = false;     // entered by the run
   race::Verdict verdict;
 };
 
 struct LintReport {
-  bool ok = false;           // mirror ran (possibly truncated/aborted)
-  bool truncated = false;    // step budget exhausted
+  bool ok = false;           // lint ran (possibly truncated/aborted)
+  bool truncated = false;    // RunOptions::maxInstructions exhausted
   std::string error;         // abort reason when execution stopped early
-  uint64_t steps = 0;        // abstract instructions executed
+  uint64_t steps = 0;        // instructions the run executed
   uint32_t numLocales = 1;
-  /// Exact predicted comm counters (== RunLog commGets/commPuts/commAggGets/
-  /// commAggPuts for the same locale view of a well-formed program).
+  /// Predicted comm counters: the observed run's RunLog commGets/commPuts/
+  /// commAggGets/commAggPuts/commOnForks.
   uint64_t predictedGets = 0;
   uint64_t predictedPuts = 0;
   uint64_t predictedAggGets = 0;
@@ -155,9 +140,65 @@ struct LintReport {
   std::vector<Finding> findings;      // sorted by severity
 };
 
-/// Runs the static locality analysis over a module. Never throws and never
-/// crashes on parser-recovered input: malformed IR aborts the mirror, leaving
-/// a partial report with `error` set.
-LintReport lint(const ir::Module& m, const Params& p = {});
+/// One naive element access (an executed IndexAddr), as the engine ran it.
+struct Access {
+  const rt::ArrayObj* own = nullptr;  // owning allocation (a view's base)
+  ir::FuncId fn = ir::kNone;          // the IndexAddr site
+  ir::InstrId instr = 0;
+  int64_t idx0 = 0;                   // first index coordinate
+  int64_t locale = 0;                 // locale the access runs on
+  int64_t owner = 0;                  // locale owning idx0 (== locale if local)
+  /// Cycle mass behind ArrayStats::remoteFraction: the site's static cost
+  /// plus the view and remote surcharges the access was charged.
+  uint64_t mass = 0;
+  bool store = false;
+  bool inTask = false;                // inside a forall/coforall body
+};
+
+/// The lint's access observer. The bytecode engine calls it directly during
+/// an observed run (rt::lint); finish() turns what it saw into a report.
+class Collector {
+ public:
+  explicit Collector(const ir::Module& m) : m_(m) {}
+
+  void arrayAllocated(const rt::ArrayObj* arr, SourceLoc loc);
+  /// An IR Store of an array value: a global or a debug-named local target
+  /// names the array (globals win over locals).
+  void arrayStored(ir::FuncId fn, const ir::Instr& store, const rt::ArrayObj* own);
+  void access(const Access& a);
+  void aggCopy(const rt::ArrayObj* own, int64_t locale, int64_t owner, bool isSrc);
+  void spawned(ir::FuncId taskFn) { executed_.insert(taskFn); }
+  /// The race prover's verdict for a task function (from its SpawnPlan).
+  void regionVerdict(ir::FuncId taskFn, const race::Verdict& v) { verdicts_[taskFn] = v; }
+
+  /// Fills `out`'s arrays, regions and findings. The run's header fields
+  /// (truncated, error, steps) must already be set.
+  void finish(LintReport& out);
+
+ private:
+  struct Entry {
+    ArrayStats s;
+    int nameTier = 0;  // 0 anon, 1 local var, 2 global var
+  };
+  struct SiteState {
+    int seen = 0;
+    int64_t lastIdx = 0;
+    int64_t stride = 0;
+  };
+
+  Entry& entryFor(const rt::ArrayObj* own);
+  std::pair<bool, bool> siteAffineInfo(ir::FuncId fid, ir::InstrId id);
+  bool affineOperand(const ir::Function& fn, const ir::ValueRef& v, int depth);
+  void deriveFindings(LintReport& out) const;
+
+  const ir::Module& m_;
+  std::vector<Entry> entries_;
+  std::unordered_map<const rt::ArrayObj*, size_t> index_;
+  std::unordered_map<uint64_t, SiteState> sites_;
+  std::unordered_map<uint64_t, std::pair<bool, bool>> affineCache_;
+  bool sawInduction_ = false;
+  std::unordered_set<ir::FuncId> executed_;
+  std::unordered_map<ir::FuncId, race::Verdict> verdicts_;
+};
 
 }  // namespace cb::an::loc

@@ -91,7 +91,8 @@ inline constexpr uint32_t kMaxCallDepth = 8;
 /// Analyzes one outlined task function. Deterministic and side-effect free.
 Verdict analyzeTaskFunction(const ir::Module& m, ir::FuncId taskFn);
 
-/// Memoizing wrapper for engines / lint passes that query per spawn site.
+/// Memoizing wrapper for the reference interpreter, which queries per spawn
+/// site (the bytecode engine keeps the verdict in its SpawnPlan).
 class RaceCache {
  public:
   const Verdict& verdictFor(const ir::Module& m, ir::FuncId taskFn) {

@@ -4,6 +4,7 @@
 #include <mutex>
 
 #include "cb_config.h"
+#include "runtime/lint.h"
 #include "support/thread_pool.h"
 
 namespace cb {
@@ -127,36 +128,18 @@ pm::BaselineReport Profiler::baselineReport() const {
   return pm::baselineAttribute(comp_->module(), result_->log, *instances_, opts_.baseline);
 }
 
-an::loc::LintReport Profiler::lintReport(uint32_t numLocalesOverride) const {
+an::loc::LintReport Profiler::lintReport() const {
   if (!comp_ || !comp_->ok()) {
     an::loc::LintReport r;
     r.error = "lint requires a successfully compiled module";
     return r;
   }
-  an::loc::Params p;
-  p.numLocales = numLocalesOverride ? numLocalesOverride
-                                    : std::max<uint32_t>(1, opts_.run.numLocales);
-  p.homeLocale = opts_.run.localeId;
-  p.configOverrides = opts_.run.configOverrides;
-  p.rngSeed = opts_.run.rngSeed;
-  // Cost selection mirrors the runtime engines so the expected-sample-mass
-  // model lines up with what run() would measure.
-  rt::CostProfile prof = opts_.run.costProfileOverride
-                             ? *opts_.run.costProfileOverride
-                             : (opts_.run.fastCostProfile ? rt::CostProfile::fast()
-                                                          : rt::CostProfile::standard());
-  auto model = std::make_shared<rt::CostModel>(prof);
-  p.instrCost = [model](const ir::Instr& in) { return model->cost(in); };
-  p.remoteGetCost = prof.remoteGet;
-  p.remotePutCost = prof.remotePut;
-  p.viewIndexExtraCost = prof.viewIndexExtra;
-  return an::loc::lint(comp_->module(), p);
+  return rt::lint(comp_->module(), opts_.run);
 }
 
-std::string Profiler::lintText(uint32_t numLocalesOverride) const {
+std::string Profiler::lintText() const {
   if (!comp_ || !comp_->ok()) return "<no compiled module>";
-  an::loc::LintReport r = lintReport(numLocalesOverride);
-  return rpt::lintView(comp_->module(), r, report_ ? &*report_ : nullptr);
+  return rpt::lintView(comp_->module(), lintReport(), report_ ? &*report_ : nullptr);
 }
 
 void Profiler::attachRunLog(sampling::RunLog log) {

@@ -143,16 +143,15 @@ class Profiler {
   /// Baseline (allocation-threshold) attribution, computed on demand.
   pm::BaselineReport baselineReport() const;
 
-  /// Static locality-and-race lint (analysis/locality.h), computed on
-  /// demand from the compiled module. Requires a successful compile. Locale
-  /// count, config overrides, and cost profile come from `options().run` so
-  /// predictions line up with what run() would measure. `numLocalesOverride`
-  /// (when nonzero) models a different locale count than the run options.
-  an::loc::LintReport lintReport(uint32_t numLocalesOverride = 0) const;
+  /// Locality-and-race lint (runtime/lint.h): one sampling-off run of the
+  /// compiled module under `options().run` with the locality collector
+  /// attached, so predictions are what run() would measure. Requires a
+  /// successful compile.
+  an::loc::LintReport lintReport() const;
 
   /// lintView rendering of lintReport(); includes the static-vs-dynamic
   /// differential when postProcess() has produced a BlameReport.
-  std::string lintText(uint32_t numLocalesOverride = 0) const;
+  std::string lintText() const;
 
   /// Adopts a previously saved run log as this profiler's step-2 artefact
   /// (the `--diagnose --from-log` path): postProcess() and the causal /

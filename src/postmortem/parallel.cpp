@@ -19,10 +19,6 @@ uint64_t mixKey(uint64_t x) {
 
 }  // namespace
 
-uint32_t resolveWorkers(uint32_t requested) {
-  return requested == 0 ? ThreadPool::defaultConcurrency() : requested;
-}
-
 std::vector<std::vector<uint32_t>> shardSamples(const sampling::RunLog& log,
                                                 uint32_t numShards) {
   numShards = std::max(1u, numShards);
@@ -89,7 +85,7 @@ PostmortemResult runPostmortem(const ir::Module& m, const an::ModuleBlame* mb,
                                const AttributionOptions& aopts, const ParallelOptions& popts,
                                AttributionCache* cache) {
   if (cache) cache->clear();  // never leave a stale prime from a prior run
-  uint32_t workers = resolveWorkers(popts.workers);
+  uint32_t workers = ThreadPool::boundedWidth(popts.workers);
   if (workers <= 1) {
     // The exact sequential path: no pool, no sharding, no merge.
     PostmortemResult out;

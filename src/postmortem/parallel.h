@@ -34,10 +34,6 @@ struct ParallelOptions {
 /// Shards-per-worker factor used when ParallelOptions.shards == 0.
 inline constexpr uint32_t kShardsPerWorker = 4;
 
-/// ParallelOptions.workers resolved against the machine: 0 -> hardware
-/// concurrency (>= 1), anything else unchanged.
-uint32_t resolveWorkers(uint32_t requested);
-
 /// Deterministic shard assignment: sample i goes to shard
 /// hash(taskTag != 0 ? taskTag : stream) % numShards, so all samples of one
 /// task (and all non-task samples of one stream) land in the same shard.

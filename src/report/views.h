@@ -82,8 +82,8 @@ std::string perLocaleView(const std::vector<pm::BlameReport>& perLocale,
 
 // ---- static lint ------------------------------------------------------------
 
-/// Lint view (`cb --lint`): findings from the static locality-and-race
-/// analysis, the predicted per-array comm splits, and the race verdict of
+/// Lint view (`cb --lint`): findings from the locality-and-race lint
+/// (runtime/lint.h), the predicted per-array comm splits, and the race verdict of
 /// every forall/coforall region. When `measured` is non-null, appends the
 /// static-vs-dynamic differential: each predicted remote fraction is
 /// cross-checked against the measured VariableBlame comm split, and

@@ -105,13 +105,9 @@ struct FnCompiler {
     auto it = planOf.find(taskFn);
     if (it != planOf.end()) return it->second;
     // Parallel-replay eligibility comes from the shared race-freedom prover
-    // (analysis/race.h); the plan keeps only what the engines need.
-    an::race::Verdict v = an::race::analyzeTaskFunction(m, taskFn);
+    // (analysis/race.h); the plan keeps its verdict for `cb --lint`.
     uint32_t idx = static_cast<uint32_t>(cm.plans.size());
-    SpawnPlan plan;
-    plan.eligible = v.raceFree;
-    if (v.raceFree) plan.roots = std::move(v.roots);
-    cm.plans.push_back(std::move(plan));
+    cm.plans.push_back(SpawnPlan{taskFn, an::race::analyzeTaskFunction(m, taskFn)});
     planOf.emplace(taskFn, idx);
     return idx;
   }

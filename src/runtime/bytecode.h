@@ -122,12 +122,13 @@ struct BFunc {
 /// the race-freedom prover both engines gate parallel replay on).
 using RootRef = ::cb::an::race::RootRef;
 
-/// Result of the static independence analysis for one Spawn site. Derived
-/// from the prover's Verdict: `eligible` is `raceFree`, `roots` the shared
-/// arrays needing runtime alias checks (kept only when eligible).
+/// Result of the static independence analysis for one Spawn site: the
+/// prover's Verdict for the task function. A race-free region's streams may
+/// replay on OS threads; its `roots` are the shared arrays needing runtime
+/// alias checks. `cb --lint` reports the same verdicts.
 struct SpawnPlan {
-  bool eligible = false;          // streams may replay on OS threads
-  std::vector<RootRef> roots;     // shared arrays needing runtime alias checks
+  ir::FuncId taskFn = ir::kNone;
+  an::race::Verdict verdict;
 };
 
 struct CompiledModule {

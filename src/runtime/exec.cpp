@@ -15,7 +15,8 @@
 // thread-local Ctx and private sample/output/alloc/cycle sinks, reproduces
 // the exact same per-stream artefacts; the main thread then merges them in
 // canonical global task order. Anything the analysis could not prove falls
-// back to the sequential path.
+// back to the sequential path, and so does every region of an observed run
+// (rt::lint's access observer sees accesses in the canonical order).
 #include "runtime/exec.h"
 
 #include <algorithm>
@@ -29,6 +30,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "analysis/locality.h"
 #include "runtime/bandwidth.h"
 #include "runtime/bytecode.h"
 #include "support/common.h"
@@ -132,9 +134,10 @@ void copyInto(Value& out, const Value& in) {
 
 class Engine {
  public:
-  Engine(const ir::Module& m, const RunOptions& opts)
+  Engine(const ir::Module& m, const RunOptions& opts, an::loc::Collector* obs)
       : m_(m),
         opts_(opts),
+        obs_(obs),
         cost_(opts.costProfileOverride
                   ? *opts.costProfileOverride
                   : (opts.fastCostProfile ? CostProfile::fast() : CostProfile::standard())),
@@ -151,6 +154,8 @@ class Engine {
       }
     }
     compiled_ = bc::compile(m, cost_, icacheQ10);
+    if (obs_)
+      for (const bc::SpawnPlan& p : compiled_.plans) obs_->regionVerdict(p.taskFn, p.verdict);
     result_.cyclesPerFunction.assign(m.numFunctions(), 0);
     result_.log.sampleThreshold = opts.sampleThreshold;
     result_.log.numStreams = opts.numWorkers + 1;
@@ -182,6 +187,7 @@ class Engine {
     causalNum_ = opts.causalScale.num;
     causalDen_ = opts.causalScale.den;
     causalActive_ = causalTrack_ || causalScaleOn_;
+    specialFrames_ = causalActive_ || obs_ != nullptr;
     if (causalTrack_) {
       // Dense site index (fid, instr) -> siteBase_[fid] + instr, so the
       // per-charge accumulation is a flat array slot instead of a hash probe.
@@ -568,6 +574,10 @@ class Engine {
       }
     }
     charge(c, arrayNewPerElemC_ * static_cast<uint64_t>(n) * width);
+    if (obs_)
+      obs_->arrayAllocated(obj.get(), allocFn != ir::kNone
+                                          ? m_.function(allocFn).instrs[allocInstr].loc
+                                          : SourceLoc{});
     Value v;
     v.kind = VKind::Array;
     v.arr = std::move(obj);
@@ -814,7 +824,8 @@ class Engine {
 
   /// IndexAddr address computation shared by the plain and fused forms;
   /// charges the view penalty and the PGAS remote-access cost exactly where
-  /// the tree-walker does.
+  /// the tree-walker does. kObserve reports the access to the observer.
+  template <bool kObserve>
   Value* indexAddr(Ctx& c, EFrame& fr, const bc::BInstr& bi, const bc::BOperand* ops,
                    SourceLoc loc) {
     const Value& base = rd(c, fr, ops[bi.opBase]);
@@ -826,7 +837,7 @@ class Engine {
       p = base.arr->atLinear(k);
       if (p) {
         const ArrayObj* own = base.arr->base ? base.arr->base.get() : base.arr.get();
-        if (own->dom.distKind != 0 && own->dom.distLocales > 1) {
+        if (kObserve || (own->dom.distKind != 0 && own->dom.distLocales > 1)) {
           int64_t idx[3];
           base.arr->dom.delinearize(k, idx);
           idx0 = idx[0];
@@ -842,16 +853,46 @@ class Engine {
     if (!p) fail("array index out of bounds", loc);
     if (base.arr->isView()) charge(c, viewExtraC_);
     noteArrayAccess(c, base.arr.get(), idx0, (bi.flags & bc::kStore) != 0);
+    if constexpr (kObserve) observeAccess(c, fr, bi, base.arr.get(), idx0);
     return p;
+  }
+
+  /// The observer's view of one element access. The mass is the access's
+  /// latency-model charge: the site's static cost (without the icache
+  /// multiplier) plus the view and remote surcharges.
+  void observeAccess(const Ctx& c, const EFrame& fr, const bc::BInstr& bi, const ArrayObj* arr,
+                     int64_t idx0) {
+    an::loc::Access a;
+    a.own = arr->base ? arr->base.get() : arr;
+    const DomainVal& od = a.own->dom;
+    a.fn = fr.fid;
+    a.instr = bi.ir;
+    a.idx0 = idx0;
+    a.locale = c.locale;
+    a.owner = od.distKind != 0 && od.distLocales > 1 ? od.ownerOf(idx0) : c.locale;
+    a.store = (bi.flags & bc::kStore) != 0;
+    a.inTask = c.taskTag != 0;
+    a.mass = cost_.cost(m_.function(fr.fid).instrs[bi.ir]);
+    if (arr->isView()) a.mass += viewExtraC_;
+    if (a.owner != a.locale) a.mass += a.store ? remotePutC_ : remoteGetC_;
+    obs_->access(a);
+  }
+
+  /// A Store of an array value, reported for naming.
+  void observeStore(const EFrame& fr, const bc::BInstr& bi, const Value& v) {
+    if (v.kind != VKind::Array || !v.arr) return;
+    obs_->arrayStored(fr.fid, m_.function(fr.fid).instrs[bi.ir],
+                      v.arr->base ? v.arr->base.get() : v.arr.get());
   }
 
   void execFrame(Ctx& ctx, EFrame& fr, const bc::BFunc& bf, const ir::Function& irFn,
                  Value& out);
-  /// The dispatch loop proper, compiled twice: the kCausal = false
-  /// instantiation carries zero causal-mode code on the per-instruction
-  /// path, the kCausal = true one tracks/scales with straight-line inline
-  /// code. execFrame() picks the instantiation once per frame.
-  template <bool kCausal>
+  /// The dispatch loop proper, compiled three times: the plain
+  /// instantiation carries zero causal-mode or observer code on the
+  /// per-instruction path, kCausal tracks/scales with straight-line inline
+  /// code, and kObserve reports accesses and array stores to the observer.
+  /// execFrame() picks the instantiation once per frame.
+  template <bool kCausal, bool kObserve>
   void execFrameT(Ctx& ctx, EFrame& fr, const bc::BFunc& bf, const ir::Function& irFn,
                   Value& out);
 
@@ -1003,9 +1044,10 @@ class Engine {
     const ArrayObj* own = remoteArrV.arr->base ? remoteArrV.arr->base.get()
                                                : remoteArrV.arr.get();
     const DomainVal& od = own->dom;
-    int64_t owner;
-    if (od.distKind != 0 && od.distLocales > 1 &&
-        (owner = od.ownerOf(idx[0])) != ctx.locale) {
+    int64_t owner = ctx.locale;
+    if (od.distKind != 0 && od.distLocales > 1) owner = od.ownerOf(idx[0]);
+    if (obs_) obs_->aggCopy(own, ctx.locale, owner, st.isSrc);
+    if (owner != ctx.locale) {
       ctx.pending = st.isSrc ? sampling::AccessKind::RemoteGet
                              : sampling::AccessKind::RemotePut;
       ctx.pendingSrc = static_cast<int32_t>(ctx.locale);
@@ -1034,9 +1076,8 @@ class Engine {
   // ---- spawn --------------------------------------------------------------
 
   uint32_t effectiveReplayThreads() const {
-    if (opts_.replayThreads != 0) return opts_.replayThreads;
-    return std::min<uint32_t>(std::max<uint32_t>(1, opts_.numWorkers),
-                              ThreadPool::defaultConcurrency());
+    return ThreadPool::boundedWidth(opts_.replayThreads != 0 ? opts_.replayThreads
+                                                             : opts_.numWorkers);
   }
 
   /// Appends the storage of every array `v` holds (through record fields,
@@ -1080,15 +1121,16 @@ class Engine {
   /// charged every sub-array access to its owning element.
   bool canParallelize(const bc::SpawnPlan& plan, size_t numChunks,
                       const std::vector<Value>& extra, Ctx& ctx) {
-    if (!plan.eligible) return false;
+    if (!plan.verdict.raceFree || obs_) return false;
     if (effectiveReplayThreads() <= 1) return false;
     if (numChunks < 2 || opts_.numWorkers < 2) return false;
     // Keep generous headroom so the documented post-merge budget check can
     // never fire before the sequential engine would have failed anyway.
     if (opts_.maxInstructions - *ctx.icount < (1ull << 30)) return false;
     std::vector<const ArrayObj*> canon;
-    canon.reserve(plan.roots.size());
-    for (const bc::RootRef& rr : plan.roots) {
+    const std::vector<bc::RootRef>& roots = plan.verdict.roots;
+    canon.reserve(roots.size());
+    for (const bc::RootRef& rr : roots) {
       const Value* v;
       if (rr.fromGlobal) {
         if (rr.index >= globals_.size()) return false;
@@ -1111,11 +1153,11 @@ class Engine {
     }
     for (size_t i = 0; i < canon.size(); ++i)
       for (size_t j = i + 1; j < canon.size(); ++j)
-        if (canon[i] == canon[j] && (plan.roots[i].written || plan.roots[j].written))
+        if (canon[i] == canon[j] && (roots[i].written || roots[j].written))
           return false;
     std::vector<const ArrayObj*> owners, subs;
     for (size_t i = 0; i < canon.size(); ++i)
-      if (plan.roots[i].subArrays &&
+      if (roots[i].subArrays &&
           std::find(owners.begin(), owners.end(), canon[i]) == owners.end())
         owners.push_back(canon[i]);
     if (owners.empty()) return true;
@@ -1135,6 +1177,7 @@ class Engine {
 
   void execSpawn(Ctx& ctx, EFrame& fr, const bc::BInstr& bi, const bc::BOperand* ops,
                  const ir::Function& irFn) {
+    if (obs_) obs_->spawned(bi.t0);
     int64_t lo = rd(ctx, fr, ops[bi.opBase]).asInt();
     int64_t hi = rd(ctx, fr, ops[bi.opBase + 1]).asInt();
     std::vector<Value> extra;
@@ -1209,7 +1252,7 @@ class Engine {
       // Count regions the prover could not clear: depends only on the static
       // verdict (not replay width or runtime aliasing), so the counter is
       // identical across engines and worker counts.
-      if (!compiled_.plans[bi.t1].eligible) ++result_.log.raceFallbackRegions;
+      if (!compiled_.plans[bi.t1].verdict.raceFree) ++result_.log.raceFallbackRegions;
       try {
         if (canParallelize(compiled_.plans[bi.t1], chunks.size(), extra, ctx)) {
           runParallel(ctx, bi.t0, bi, irFn, chunks, extra, tag, t0, workerEnd);
@@ -1268,6 +1311,7 @@ class Engine {
 
   const ir::Module& m_;
   RunOptions opts_;
+  an::loc::Collector* obs_;  // rt::lint's access observer, or null
   CostModel cost_;
   bc::CompiledModule compiled_;
   Rng rng_;
@@ -1295,6 +1339,7 @@ class Engine {
   bool causalTrack_ = false;
   bool causalScaleOn_ = false;
   bool causalActive_ = false;
+  bool specialFrames_ = false;  // causalActive_ or an observer: not the plain loop
   uint32_t causalNum_ = 1;
   uint32_t causalDen_ = 1;
   std::unordered_set<uint64_t> causalScaleSites_;
@@ -1535,13 +1580,15 @@ void Engine::runParallel(Ctx& ctx, FuncId taskFn, const bc::BInstr& bi,
 
 void Engine::execFrame(Ctx& ctx, EFrame& fr, const bc::BFunc& bf, const ir::Function& irFn,
                        Value& out) {
-  if (__builtin_expect(causalActive_, 0))
-    execFrameT<true>(ctx, fr, bf, irFn, out);
-  else
-    execFrameT<false>(ctx, fr, bf, irFn, out);
+  if (__builtin_expect(specialFrames_, 0)) {
+    if (obs_) execFrameT<false, true>(ctx, fr, bf, irFn, out);
+    else execFrameT<true, false>(ctx, fr, bf, irFn, out);
+  } else {
+    execFrameT<false, false>(ctx, fr, bf, irFn, out);
+  }
 }
 
-template <bool kCausal>
+template <bool kCausal, bool kObserve>
 void Engine::execFrameT(Ctx& ctx, EFrame& fr, const bc::BFunc& bf, const ir::Function& irFn,
                         Value& out) {
   const bc::BInstr* code = bf.code.data();
@@ -1628,6 +1675,7 @@ void Engine::execFrameT(Ctx& ctx, EFrame& fr, const bc::BFunc& bf, const ir::Fun
         CB_NEXT;
       }
       CB_OP(StoreSlot) : {
+        if constexpr (kObserve) observeStore(fr, bi, rd(ctx, fr, bi.a));
         copyInto(fr.slots[bi.t0], rd(ctx, fr, bi.a));
         CB_NEXT;
       }
@@ -1642,6 +1690,7 @@ void Engine::execFrameT(Ctx& ctx, EFrame& fr, const bc::BFunc& bf, const ir::Fun
       }
       CB_OP(StoreRef) : {
         Value* p = refOf(ctx, fr, bi.b, irFn.instrs[bi.ir].loc);
+        if constexpr (kObserve) observeStore(fr, bi, rd(ctx, fr, bi.a));
         copyInto(*p, rd(ctx, fr, bi.a));
         CB_NEXT;
       }
@@ -1663,7 +1712,7 @@ void Engine::execFrameT(Ctx& ctx, EFrame& fr, const bc::BFunc& bf, const ir::Fun
         CB_NEXT;
       }
       CB_OP(IndexAddr) : {
-        setRef(fr.regs[bi.dst], indexAddr(ctx, fr, bi, ops, irFn.instrs[bi.ir].loc));
+        setRef(fr.regs[bi.dst], indexAddr<kObserve>(ctx, fr, bi, ops, irFn.instrs[bi.ir].loc));
         CB_NEXT;
       }
       CB_OP(Bin) : {
@@ -1799,7 +1848,7 @@ void Engine::execFrameT(Ctx& ctx, EFrame& fr, const bc::BFunc& bf, const ir::Fun
         continue;
       }
       CB_OP(IndexLoad) : {
-        Value* p = indexAddr(ctx, fr, bi, ops, irFn.instrs[bi.ir].loc);
+        Value* p = indexAddr<kObserve>(ctx, fr, bi, ops, irFn.instrs[bi.ir].loc);
         fr.curIr = bi.ir2;
         if (__builtin_expect(++*ctx.icount > ctx.maxInstr, 0))
           fail("instruction budget exceeded", irFn.instrs[bi.ir2].loc);
@@ -1809,7 +1858,7 @@ void Engine::execFrameT(Ctx& ctx, EFrame& fr, const bc::BFunc& bf, const ir::Fun
         CB_NEXT;
       }
       CB_OP(IndexStore) : {
-        Value* p = indexAddr(ctx, fr, bi, ops, irFn.instrs[bi.ir].loc);
+        Value* p = indexAddr<kObserve>(ctx, fr, bi, ops, irFn.instrs[bi.ir].loc);
         fr.curIr = bi.ir2;
         if (__builtin_expect(++*ctx.icount > ctx.maxInstr, 0))
           fail("instruction budget exceeded", irFn.instrs[bi.ir2].loc);
@@ -1876,8 +1925,9 @@ void Engine::execFrameT(Ctx& ctx, EFrame& fr, const bc::BFunc& bf, const ir::Fun
 
 }  // namespace
 
-RunResult executeBytecode(const ir::Module& m, const RunOptions& opts) {
-  Engine engine(m, opts);
+RunResult executeBytecode(const ir::Module& m, const RunOptions& opts,
+                          an::loc::Collector* observer) {
+  Engine engine(m, opts, observer);
   return engine.run();
 }
 

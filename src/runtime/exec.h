@@ -11,6 +11,10 @@
 
 namespace cb::rt {
 
-RunResult executeBytecode(const ir::Module& m, const RunOptions& opts);
+/// `observer`, when set, receives every array allocation, named array
+/// store, element access, agg.copy and spawn entry; regions then replay
+/// sequentially so the observed order is the canonical one.
+RunResult executeBytecode(const ir::Module& m, const RunOptions& opts,
+                          an::loc::Collector* observer);
 
 }  // namespace cb::rt

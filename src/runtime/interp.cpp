@@ -1119,13 +1119,18 @@ class Interp {
   std::vector<uint64_t> icacheQ10_;
   std::vector<uint32_t> skidQueue_;
 
-  friend RunResult cb::rt::execute(const ir::Module&, const RunOptions&);
+  friend RunResult cb::rt::execute(const ir::Module&, const RunOptions&, an::loc::Collector*);
 };
 
 }  // namespace
 
-RunResult execute(const ir::Module& m, const RunOptions& opts) {
-  if (!opts.referenceInterp) return executeBytecode(m, opts);
+RunResult execute(const ir::Module& m, const RunOptions& opts, an::loc::Collector* observer) {
+  if (opts.numWorkers == 0) {
+    RunResult r;
+    r.error = "invalid run options: numWorkers must be at least 1";
+    return r;
+  }
+  if (!opts.referenceInterp || observer) return executeBytecode(m, opts, observer);
   Interp interp(m, opts);
   // Globals live for the whole run; _module_init assigns every one of them
   // in declaration order, so plain empty values suffice here.

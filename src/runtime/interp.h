@@ -28,6 +28,10 @@
 #include "sampling/sample.h"
 #include "support/rng.h"
 
+namespace cb::an::loc {
+class Collector;
+}
+
 namespace cb::rt {
 
 struct RunOptions {
@@ -104,6 +108,9 @@ struct RunResult {
 };
 
 /// Compiles nothing — executes an already-lowered module under monitoring.
-RunResult execute(const ir::Module& m, const RunOptions& opts);
+/// `numWorkers == 0` is rejected (ok = false). An `observer` (rt::lint's
+/// locality collector) always runs on the bytecode engine, sequentially.
+RunResult execute(const ir::Module& m, const RunOptions& opts,
+                  an::loc::Collector* observer = nullptr);
 
 }  // namespace cb::rt

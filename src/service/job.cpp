@@ -1,8 +1,9 @@
 #include "service/job.h"
 
+#include <charconv>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "core/profiler.h"
@@ -16,8 +17,10 @@ namespace cb::svc {
 std::string usageText() {
   return
       "usage: cb <program|path.chpl> [options]   (flags may appear anywhere)\n"
-      "  --lint                static locality & race lint: no execution, prints\n"
-      "                        predicted comm splits, findings, race verdicts\n"
+      "  --lint                locality & race lint: one sampling-off run that\n"
+      "                        prints predicted comm splits, findings and race\n"
+      "                        verdicts (always the bytecode engine:\n"
+      "                        --reference-interp does not apply)\n"
       "  --with-run            with --lint: also profile the program so the\n"
       "                        static-vs-dynamic differential is reported\n"
       "  --diagnose            causal what-if profile + rule-based diagnosis:\n"
@@ -28,7 +31,7 @@ std::string usageText() {
       "                        report F; exit 4 when a metric regressed >10%\n"
       "  --fast                compile with the --fast pipeline\n"
       "  --threshold N         PMU overflow threshold (virtual cycles)\n"
-      "  --workers N           worker streams (default 12)\n"
+      "  --workers N           worker streams (1..65536, default 12)\n"
       "  --pm-workers N        post-mortem worker threads (0 = hardware, 1 = sequential)\n"
       "  --config K=V          override a config const (repeatable)\n"
       "  --view V              data|code|pprof|hybrid|gui|baseline|csv|comm|commmatrix|locale\n"
@@ -55,6 +58,22 @@ std::string usageText() {
 }
 
 namespace {
+
+constexpr uint64_t kMaxWorkers = 65536;
+constexpr uint64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
+
+/// Strict numeric flag value: decimal digits only (no sign, whitespace or
+/// trailing text) within [lo, hi]. Returns an error message, empty on
+/// success.
+std::string parseCount(const std::string& text, uint64_t lo, uint64_t hi, uint64_t& out) {
+  const char* end = text.data() + text.size();
+  auto [p, ec] = std::from_chars(text.data(), end, out);
+  if (text.empty() || ec == std::errc::invalid_argument || p != end)
+    return "expected a non-negative integer, got '" + text + "'";
+  if (ec == std::errc::result_out_of_range || out < lo || out > hi)
+    return "value " + text + " is outside " + std::to_string(lo) + ".." + std::to_string(hi);
+  return {};
+}
 
 JobResult runJobInner(const std::vector<std::string>& args, const JobContext& ctx) {
   JobResult res;
@@ -84,6 +103,7 @@ JobResult runJobInner(const std::vector<std::string>& args, const JobContext& ct
   profiler.options().run.sampleThreshold = 9973;
   profiler.options().cacheDir = ctx.cacheDir;
 
+  std::string flagError;  // first malformed numeric flag value (exit 2)
   for (size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     bool missing = false;
@@ -93,6 +113,13 @@ JobResult runJobInner(const std::vector<std::string>& args, const JobContext& ct
         return {};
       }
       return args[++i];
+    };
+    auto count = [&](uint64_t lo, uint64_t hi) -> uint64_t {
+      std::string text = next();
+      uint64_t v = 0;
+      if (missing || !flagError.empty()) return v;
+      if (std::string e = parseCount(text, lo, hi, v); !e.empty()) flagError = arg + ": " + e;
+      return v;
     };
     if (arg == "--lint") {
       lintMode = true;
@@ -107,13 +134,11 @@ JobResult runJobInner(const std::vector<std::string>& args, const JobContext& ct
       profiler.options().compile.fast = true;
       profiler.options().run.fastCostProfile = true;
     } else if (arg == "--threshold") {
-      profiler.options().run.sampleThreshold = std::strtoull(next().c_str(), nullptr, 10);
+      profiler.options().run.sampleThreshold = count(0, std::numeric_limits<uint64_t>::max());
     } else if (arg == "--workers") {
-      profiler.options().run.numWorkers =
-          static_cast<uint32_t>(std::strtoul(next().c_str(), nullptr, 10));
+      profiler.options().run.numWorkers = static_cast<uint32_t>(count(1, kMaxWorkers));
     } else if (arg == "--pm-workers") {
-      profiler.options().postmortem.workers =
-          static_cast<uint32_t>(std::strtoul(next().c_str(), nullptr, 10));
+      profiler.options().postmortem.workers = static_cast<uint32_t>(count(0, kMaxU32));
     } else if (arg == "--config") {
       std::string kv = next();
       size_t eq = kv.find('=');
@@ -123,16 +148,14 @@ JobResult runJobInner(const std::vector<std::string>& args, const JobContext& ct
     } else if (arg == "--view") {
       view = next();
     } else if (arg == "--skid") {
-      profiler.options().run.skidInstructions =
-          static_cast<uint32_t>(std::strtoul(next().c_str(), nullptr, 10));
+      profiler.options().run.skidInstructions = static_cast<uint32_t>(count(0, kMaxU32));
     } else if (arg == "--reference-interp") {
       profiler.options().run.referenceInterp = true;
     } else if (arg == "--replay-threads") {
-      profiler.options().run.replayThreads =
-          static_cast<uint32_t>(std::strtoul(next().c_str(), nullptr, 10));
+      profiler.options().run.replayThreads = static_cast<uint32_t>(count(0, kMaxU32));
     } else if (arg == "--locales") {
-      uint64_t requested = std::strtoull(next().c_str(), nullptr, 10);
-      if (!missing) {
+      uint64_t requested = count(0, std::numeric_limits<uint64_t>::max());
+      if (!missing && flagError.empty()) {
         if (std::string e = validateLocaleCount(requested); !e.empty()) {
           err << "error: --locales: " << e << "\n";
           res.out = out.str();
@@ -148,7 +171,7 @@ JobResult runJobInner(const std::vector<std::string>& args, const JobContext& ct
     } else if (arg == "--from-log") {
       fromLogPath = next();
     } else if (arg == "--stream-chunk") {
-      streamChunk = static_cast<uint32_t>(std::strtoul(next().c_str(), nullptr, 10));
+      streamChunk = static_cast<uint32_t>(count(0, kMaxU32));
     } else if (arg == "--cache-dir") {
       profiler.options().cacheDir = next();
     } else if (arg == "--html") {
@@ -166,6 +189,12 @@ JobResult runJobInner(const std::vector<std::string>& args, const JobContext& ct
       program = arg;
     }
     if (missing) return usage(2);
+  }
+  if (!flagError.empty()) {
+    err << "error: " << flagError << "\n";
+    res.err = err.str();
+    res.exitCode = 2;
+    return res;
   }
   if (program.empty()) return usage(2);
 

@@ -42,6 +42,11 @@ uint32_t ThreadPool::defaultConcurrency() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
+uint32_t ThreadPool::boundedWidth(uint32_t requested) {
+  uint32_t hw = defaultConcurrency();
+  return requested == 0 ? hw : std::min(requested, hw);
+}
+
 void ThreadPool::workerLoop() {
   for (;;) {
     std::function<void()> job;

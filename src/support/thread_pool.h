@@ -45,6 +45,13 @@ class ThreadPool {
   /// return 0 on exotic platforms).
   static uint32_t defaultConcurrency();
 
+  /// Pool width for a user-requested thread count: 0 means hardware
+  /// concurrency, and no request gets more threads than the hardware has.
+  /// Every width flag (--replay-threads, --pm-workers) resolves through this,
+  /// so no request can start an unbounded number of OS threads; widths are
+  /// byte-invariant, so the cap never changes a result.
+  static uint32_t boundedWidth(uint32_t requested);
+
  private:
   void workerLoop();
 

@@ -218,6 +218,26 @@ TEST(PropertyExecErrors, InstructionBudgetExhaustion) {
   expectSourceAgrees(src, base, "budget exhaustion");
 }
 
+// A run with no worker streams is refused up front by both engines (it used
+// to reach a modulo by zero when distributing the first forall's chunks).
+TEST(PropertyExecErrors, ZeroWorkersRejectedByBothEngines) {
+  auto c = test::compile(R"(
+    const D = {0..#8};
+    var a: [D] int;
+    proc main() { forall i in D { a[i] = i; } }
+  )");
+  for (bool reference : {false, true}) {
+    SCOPED_TRACE(reference ? "reference" : "bytecode");
+    rt::RunOptions o;
+    o.numWorkers = 0;
+    o.referenceInterp = reference;
+    rt::RunResult r = rt::execute(c->module(), o);
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("numWorkers"), std::string::npos) << r.error;
+    EXPECT_EQ(r.instructionsExecuted, 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Seeded random modules. The generator composes independent feature blocks —
 // disjoint-write foralls, gathers, reductions through captured scalars

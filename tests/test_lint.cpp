@@ -1,14 +1,15 @@
-// Static locality & race lint (analysis/locality.h, `cb --lint`):
+// Locality & race lint (runtime/lint.h, `cb --lint`):
 //
-//  - Exact-parity properties: the concrete mirror's predicted comm counters
-//    and locale-pair matrix equal the RunLog's, bit-for-bit, on the whole
-//    program corpus and on fuzz-generated PGAS programs.
+//  - Exact-parity properties: lint's predicted comm counters and locale-pair
+//    matrix equal the reference interpreter's RunLog, bit-for-bit, on the
+//    whole program corpus and on fuzz-generated PGAS programs. Lint runs on
+//    the bytecode engine, so this checks it against code it does not share.
 //  - Acceptance findings: minimd_badloc flags the Cyclic mis-distribution
 //    with a `dmapped Block` suggestion, ig_naive gets missing-aggregator
 //    findings, weakscale lints clean.
 //  - Robustness: the linter never crashes — parser-recovered modules,
-//    runtime-failing programs and step-budget exhaustion all produce a
-//    partial report with `error`/`truncated` set.
+//    runtime-failing programs and instruction-budget exhaustion all produce
+//    a partial report with `error`/`truncated` set.
 //  - Race-fallback accounting: RunLog::raceFallbackRegions is pinned per
 //    corpus program and invariant across replay widths.
 //  - The static-vs-dynamic differential (rpt::lintView) stays quiet where
@@ -22,6 +23,7 @@
 
 #include "analysis/locality.h"
 #include "cb_config.h"
+#include "runtime/lint.h"
 #include "ir/verifier.h"
 #include "report/views.h"
 #include "sampling/sample.h"
@@ -31,10 +33,10 @@
 namespace cb {
 namespace {
 
-/// Runs the monitored runtime and the static mirror over the same module
-/// with the same locale view, and asserts every exact-parity invariant:
-/// naive GET/PUT counts, aggregated transfer counts, on-fork counts, and
-/// the full locale-pair communication matrix.
+/// Runs the reference interpreter and the lint over the same module with
+/// the same locale view, and asserts every exact-parity invariant: naive
+/// GET/PUT counts, aggregated transfer counts, on-fork counts, and the full
+/// locale-pair communication matrix.
 void expectExactParity(const ir::Module& m, uint32_t numLocales, uint32_t localeId,
                        uint64_t rngSeed = 0x5eedULL) {
   rt::RunOptions o;
@@ -42,14 +44,11 @@ void expectExactParity(const ir::Module& m, uint32_t numLocales, uint32_t locale
   o.numLocales = numLocales;
   o.localeId = localeId;
   o.rngSeed = rngSeed;
+  o.referenceInterp = true;
   rt::RunResult r = rt::execute(m, o);
   ASSERT_TRUE(r.ok) << r.error;
 
-  an::loc::Params lp;
-  lp.numLocales = numLocales;
-  lp.homeLocale = localeId;
-  lp.rngSeed = rngSeed;
-  an::loc::LintReport lint = an::loc::lint(m, lp);
+  an::loc::LintReport lint = rt::lint(m, o);
   ASSERT_TRUE(lint.ok);
   EXPECT_TRUE(lint.error.empty()) << lint.error;
   EXPECT_FALSE(lint.truncated);
@@ -95,9 +94,9 @@ TEST_P(LintCorpus, PredictsFromEveryHomeLocale) {
 TEST_P(LintCorpus, SingleLocalePredictsNoComm) {
   Profiler p;
   ASSERT_TRUE(p.compileFile(assetProgram(GetParam()))) << p.lastError();
-  an::loc::Params lp;
-  lp.numLocales = 1;
-  an::loc::LintReport r = an::loc::lint(p.compilation()->module(), lp);
+  rt::RunOptions o;
+  o.numLocales = 1;
+  an::loc::LintReport r = rt::lint(p.compilation()->module(), o);
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.predictedGets, 0u);
   EXPECT_EQ(r.predictedPuts, 0u);
@@ -205,7 +204,7 @@ TEST(Lint, IgNaiveScatterRegionsMayRace) {
 // ---------------------------------------------------------------------------
 
 TEST(Lint, RuntimeFailureYieldsPartialReport) {
-  // Division by zero aborts the mirror mid-run; the report keeps the
+  // Division by zero aborts the run midway; the report keeps the
   // statistics accumulated up to that point and says why it stopped.
   auto c = test::compile(R"(var A: [{0..#8}] int;
 proc main() {
@@ -215,7 +214,7 @@ proc main() {
   A[2] = 9;
 }
 )");
-  an::loc::LintReport r = an::loc::lint(c->module());
+  an::loc::LintReport r = rt::lint(c->module());
   ASSERT_TRUE(r.ok);
   EXPECT_FALSE(r.error.empty());
   ASSERT_EQ(r.arrays.size(), 1u);
@@ -225,12 +224,12 @@ proc main() {
 TEST(Lint, StepBudgetTruncatesInsteadOfRunningAway) {
   Profiler p;
   ASSERT_TRUE(p.compileFile(assetProgram("clomp"))) << p.lastError();
-  an::loc::Params lp;
-  lp.stepBudget = 5000;
-  an::loc::LintReport r = an::loc::lint(p.compilation()->module(), lp);
+  rt::RunOptions o;
+  o.maxInstructions = 5000;
+  an::loc::LintReport r = rt::lint(p.compilation()->module(), o);
   ASSERT_TRUE(r.ok);
   EXPECT_TRUE(r.truncated);
-  EXPECT_LE(r.steps, lp.stepBudget + 64);
+  EXPECT_LE(r.steps, o.maxInstructions + 64);
   EXPECT_NE(findKind(r, an::loc::FindingKind::AnalysisTruncated), nullptr);
 }
 
@@ -253,7 +252,7 @@ TEST(Lint, ErroneousModulesNeverCrash) {
     auto c = fe::Compilation::fromString("broken.chpl", src, {});
     EXPECT_FALSE(c->ok());
     if (!c->hasModule()) continue;
-    an::loc::LintReport r = an::loc::lint(c->module());
+    an::loc::LintReport r = rt::lint(c->module());
     EXPECT_TRUE(r.ok);
     ++linted;
   }
@@ -266,7 +265,7 @@ proc main() {
   for i in 0..#8 { A[i] = i; }
 }
 )");
-  an::loc::LintReport r = an::loc::lint(c->module());
+  an::loc::LintReport r = rt::lint(c->module());
   ASSERT_TRUE(r.ok);
   EXPECT_FALSE(r.error.empty());
 }
@@ -436,6 +435,25 @@ TEST_P(LintGolden, LintTextMatchesFixture) {
 
 INSTANTIATE_TEST_SUITE_P(Programs, LintGolden,
                          ::testing::Values("minimd_badloc", "ig_naive", "weakscale"));
+
+// Lint is a run that replays sequentially whatever the requested width, and
+// always on the bytecode engine: its text cannot depend on either knob.
+TEST(Lint, TextIdenticalAcrossReplayWidthsAndEngineFlag) {
+  for (const char* program : {"ig_naive", "minimd_badloc", "lulesh"}) {
+    SCOPED_TRACE(program);
+    std::string texts[3];
+    for (int k = 0; k < 3; ++k) {
+      Profiler p;
+      p.options().run.numLocales = 4;
+      p.options().run.replayThreads = k == 0 ? 1 : 4;
+      p.options().run.referenceInterp = k == 2;
+      ASSERT_TRUE(p.compileFile(assetProgram(program))) << p.lastError();
+      texts[k] = p.lintText();
+    }
+    EXPECT_EQ(texts[0], texts[1]);
+    EXPECT_EQ(texts[0], texts[2]);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Static-vs-dynamic differential (rpt::lintView with a measured profile).

@@ -69,6 +69,19 @@ TEST(ThreadPool, ZeroRequestClampsToOneWorker) {
   EXPECT_EQ(count.load(), 1);
 }
 
+// Width flags resolve through boundedWidth, which never asks for more
+// threads than the hardware has. Only the helper is exercised here: a huge
+// width handed to a real run or pool would start the threads it names.
+TEST(ThreadPool, BoundedWidthCapsAtHardwareConcurrency) {
+  const uint32_t hw = ThreadPool::defaultConcurrency();
+  EXPECT_EQ(ThreadPool::boundedWidth(0), hw);
+  EXPECT_EQ(ThreadPool::boundedWidth(1), 1u);
+  EXPECT_LE(ThreadPool::boundedWidth(4), hw);
+  EXPECT_LE(ThreadPool::boundedWidth(4000000000u), hw);
+  EXPECT_LE(ThreadPool::boundedWidth(UINT32_MAX), hw);
+  EXPECT_GE(ThreadPool::boundedWidth(UINT32_MAX), 1u);
+}
+
 TEST(ThreadPool, ThrowingJobSurfacesFromWait) {
   ThreadPool pool(2);
   pool.submit([] { throw std::runtime_error("job failed"); });

@@ -19,6 +19,7 @@
 
 #include "analysis/locality.h"
 #include "analysis/race.h"
+#include "runtime/lint.h"
 #include "sampling/sample.h"
 #include "support/rng.h"
 #include "test_util.h"
@@ -190,7 +191,7 @@ TEST(RaceProver, LintCitesTheCalleeLine) {
   )");
   auto c = fe::Compilation::fromString("race.chpl", src, {});
   ASSERT_TRUE(c->ok()) << c->diags().renderAll();
-  an::loc::LintReport r = an::loc::lint(c->module());
+  an::loc::LintReport r = rt::lint(c->module());
   // `x = x + random()` sits on line 15 of the snippet (kDecls is 12 lines).
   bool cited = false;
   for (const an::loc::Finding& f : r.findings)

@@ -118,6 +118,34 @@ TEST(ServiceJob, UnknownFlagExitsTwoWithUsage) {
   EXPECT_NE(r.err.find("usage"), std::string::npos);
 }
 
+// Numeric flags parse strictly: non-numeric text, trailing garbage, signs,
+// values that do not fit and `--workers 0` all exit 2 naming the flag,
+// before anything is compiled or run (`--workers 0` used to reach a modulo
+// by zero in both engines and kill the process, the daemon included).
+TEST(ServiceJob, MalformedNumericFlagsExitTwoNamingTheFlag) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"--workers", "0"},          {"--workers", "abc"},
+      {"--workers", "4294967296"}, {"--workers", "4x"},
+      {"--workers", "-1"},         {"--workers", ""},
+      {"--workers", " 4"},         {"--threshold", "9973abc"},
+      {"--threshold", "18446744073709551616"},
+      {"--skid", "4294967296"},    {"--stream-chunk", "x"},
+      {"--locales", "2abc"},       {"--replay-threads", "abc"},
+      {"--replay-threads", "-1"},  {"--pm-workers", "4x"},
+      {"--pm-workers", "+2"},
+  };
+  for (const auto& [flag, value] : bad) {
+    for (const char* mode : {"", "--lint"}) {
+      std::vector<std::string> argv = {"lulesh", flag, value};
+      if (*mode) argv.push_back(mode);
+      svc::JobResult r = svc::runJob(argv);
+      EXPECT_EQ(r.exitCode, 2) << flag << " '" << value << "' " << mode << ": " << r.err;
+      EXPECT_NE(r.err.find("error: " + flag + ":"), std::string::npos) << r.err;
+      EXPECT_TRUE(r.out.empty()) << flag << " " << value;
+    }
+  }
+}
+
 TEST(ServiceJob, MissingProgramFails) {
   svc::JobResult r = svc::runJob({"/no/such/program.chpl"});
   EXPECT_NE(r.exitCode, 0);
@@ -234,15 +262,24 @@ TEST(ServiceDaemon, ServedJobBitIdenticalToLocal) {
   svc::Server server(sopts);
   ASSERT_TRUE(server.start()) << server.lastError();
 
-  std::vector<std::string> argv = {"minimd", "--view", "data"};
-  svc::JobResult local = svc::runJob(argv);
-  svc::ClientResult served = svc::runRemote(sopts.socketPath, argv);
-  ASSERT_TRUE(served.ok) << served.error;
-  EXPECT_EQ(served.job.exitCode, local.exitCode);
-  EXPECT_EQ(served.job.out, local.out);
-  EXPECT_EQ(served.job.err, local.err);
+  // Profiles, lint runs, and rejected argv (which must fail the job, not
+  // the daemon) all answer byte for byte as they do locally.
+  const std::vector<std::vector<std::string>> jobs = {
+      {"minimd", "--view", "data"},       {"ig_naive", "--lint"},
+      {"minimd_badloc", "--lint"},        {"lulesh", "--workers", "0"},
+      {"lulesh", "--workers", "abc"},     {"lulesh", "--workers", "4294967296"},
+  };
+  for (const std::vector<std::string>& argv : jobs) {
+    SCOPED_TRACE(argv[0] + " " + argv[1]);
+    svc::JobResult local = svc::runJob(argv);
+    svc::ClientResult served = svc::runRemote(sopts.socketPath, argv);
+    ASSERT_TRUE(served.ok) << served.error;
+    EXPECT_EQ(served.job.exitCode, local.exitCode);
+    EXPECT_EQ(served.job.out, local.out);
+    EXPECT_EQ(served.job.err, local.err);
+  }
   server.stop();
-  EXPECT_EQ(server.requestsServed(), 1u);
+  EXPECT_EQ(server.requestsServed(), jobs.size());
   EXPECT_FALSE(std::filesystem::exists(sopts.socketPath));  // socket removed
 }
 
