@@ -137,9 +137,11 @@ an::loc::LintReport Profiler::lintReport() const {
   return rt::lint(comp_->module(), opts_.run);
 }
 
-std::string Profiler::lintText() const {
+std::string Profiler::lintText() const { return lintText(lintReport()); }
+
+std::string Profiler::lintText(const an::loc::LintReport& report) const {
   if (!comp_ || !comp_->ok()) return "<no compiled module>";
-  return rpt::lintView(comp_->module(), lintReport(), report_ ? &*report_ : nullptr);
+  return rpt::lintView(comp_->module(), report, report_ ? &*report_ : nullptr);
 }
 
 void Profiler::attachRunLog(sampling::RunLog log) {

@@ -149,9 +149,11 @@ class Profiler {
   /// successful compile.
   an::loc::LintReport lintReport() const;
 
-  /// lintView rendering of lintReport(); includes the static-vs-dynamic
-  /// differential when postProcess() has produced a BlameReport.
+  /// lintView rendering of lintReport() (or of `report`, when the caller
+  /// already holds it); includes the static-vs-dynamic differential when
+  /// postProcess() has produced a BlameReport.
   std::string lintText() const;
+  std::string lintText(const an::loc::LintReport& report) const;
 
   /// Adopts a previously saved run log as this profiler's step-2 artefact
   /// (the `--diagnose --from-log` path): postProcess() and the causal /

@@ -1,55 +1,47 @@
 // Bytecode execution engine with deterministic parallel worker-stream replay.
 //
-// Executes the pre-decoded flat form produced by bytecode.cpp. Semantics —
-// including every cycle charge, sample point, error message and log record —
-// are bit-identical to the tree-walking interpreter in interp.cpp (the
-// oracle behind RunOptions::referenceInterp); tests/test_exec_diff.cpp
-// enforces this differentially.
+// Executes the pre-decoded flat form produced by bytecode.cpp over the rule
+// core in runtime/semantics.h. Every cycle charge, sample point, error
+// message and log record therefore matches the tree-walking interpreter in
+// interp.cpp (the oracle behind RunOptions::referenceInterp), which checks
+// this engine's lowering, fused superinstructions, pre-decoded operands and
+// parallel-replay merge; tests/test_exec_diff.cpp enforces the equivalence.
 //
 // Parallel replay: a top-level forall/coforall whose SpawnPlan proved the
 // tasks independent may execute its worker streams on OS threads. The
-// sequential interpreter already runs each worker stream's tasks
-// back-to-back on a continuous per-stream virtual clock (setClock at a
-// task boundary is the identity there: after advance(), next ==
-// (clock/th+1)*th always holds), so one job per worker stream, each with a
-// thread-local Ctx and private sample/output/alloc/cycle sinks, reproduces
-// the exact same per-stream artefacts; the main thread then merges them in
-// canonical global task order. Anything the analysis could not prove falls
-// back to the sequential path, and so does every region of an observed run
+// sequential path already runs each worker stream's tasks back-to-back on a
+// continuous per-stream virtual clock (Pmu::setClock at a task boundary is
+// the identity there: after a charge, next == (clock/th+1)*th always
+// holds), so one job per worker stream, each with a thread-local Ctx and
+// private sample/output/alloc/cycle sinks, reproduces the exact same
+// per-stream artefacts; the main thread then merges them in canonical
+// global task order. Anything the analysis could not prove falls back to
+// the sequential path, and so does every region of an observed run
 // (rt::lint's access observer sees accesses in the canonical order).
 #include "runtime/exec.h"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "analysis/locality.h"
-#include "runtime/bandwidth.h"
 #include "runtime/bytecode.h"
+#include "runtime/semantics.h"
 #include "support/common.h"
-#include "support/rng.h"
 #include "support/thread_pool.h"
 
 namespace cb::rt {
 
 using ir::FuncId;
 using ir::InstrId;
-using ir::TypeId;
 using ir::TypeKind;
+using sem::fail;
 
 namespace {
-
-struct RunError {
-  std::string message;
-  SourceLoc loc;
-};
 
 const Value kEmptyValue{};
 
@@ -66,6 +58,8 @@ inline void clearHeavy(Value& v) {
   if (__builtin_expect(v.arr != nullptr, 0)) v.arr.reset();
   if (__builtin_expect(v.str != nullptr, 0)) v.str.reset();
 }
+
+inline int64_t wrapNeg(int64_t x) { return static_cast<int64_t>(0 - static_cast<uint64_t>(x)); }
 
 inline void setInt(Value& out, int64_t v) {
   clearHeavy(out);
@@ -132,68 +126,17 @@ void copyInto(Value& out, const Value& in) {
   for (size_t k = 0; k < n; ++k) copyInto(out.elems[k], in.elems[k]);
 }
 
-class Engine {
+class Engine : sem::Core {
  public:
   Engine(const ir::Module& m, const RunOptions& opts, an::loc::Collector* obs)
-      : m_(m),
-        opts_(opts),
-        obs_(obs),
-        cost_(opts.costProfileOverride
-                  ? *opts.costProfileOverride
-                  : (opts.fastCostProfile ? CostProfile::fast() : CostProfile::standard())),
-        rng_(opts.rngSeed),
-        threshold_(opts.sampleThreshold),
-        hasSkid_(opts.skidInstructions != 0) {
-    std::vector<uint64_t> icacheQ10(m.numFunctions(), 1024);
-    const CostProfile& p = cost_.profile();
-    for (FuncId f = 0; f < m.numFunctions(); ++f) {
-      uint64_t n = m.function(f).numInstrs();
-      if (n > p.icacheThresholdInstrs) {
-        uint64_t extra = (n - p.icacheThresholdInstrs) * p.icacheSlopeQ10;
-        icacheQ10[f] = 1024 + std::min(p.icacheMaxQ10, extra);
-      }
-    }
-    compiled_ = bc::compile(m, cost_, icacheQ10);
+      : Core(m, opts), obs_(obs), globals_(m.numGlobals()) {
+    compiled_ = bc::compile(m, cost_, icacheQ10_);
     if (obs_)
       for (const bc::SpawnPlan& p : compiled_.plans) obs_->regionVerdict(p.taskFn, p.verdict);
-    result_.cyclesPerFunction.assign(m.numFunctions(), 0);
-    result_.log.sampleThreshold = opts.sampleThreshold;
-    result_.log.numStreams = opts.numWorkers + 1;
-    lastBusyEnd_.assign(opts.numWorkers + 1, 0);
-    globals_.resize(m.numGlobals());
     globalRefs_.reserve(m.numGlobals());
-    for (size_t g = 0; g < m.numGlobals(); ++g)
-      globalRefs_.push_back(Value::makeRef(&globals_[g]));
-    nestedHandleC_ = p.nestedArrayHandle;
-    viewExtraC_ = p.viewIndexExtra;
-    spawnPerTaskC_ = p.spawnPerTask;
-    arrayNewPerElemC_ = p.arrayNewPerElem;
-    arrayFillPerElemC_ = p.arrayFillPerElem;
-    arrayCopyPerElemC_ = p.arrayCopyPerElem;
-    remoteGetC_ = p.remoteGet;
-    remotePutC_ = p.remotePut;
-    onForkC_ = p.onFork;
-    aggFlushLatencyC_ = p.aggFlushLatency;
-    aggPerElemC_ = p.aggPerElemBandwidth;
-    aggBufferCapC_ = p.aggBufferCap;
-    memBwRateC_ = p.memBandwidthBytesPerKCycle;
-    memCacheResC_ = p.memCacheResidentBytes;
-    limits0_ = BwLimits::forStream(p, 0, opts.numWorkers);
-    limitsW_ = BwLimits::forStream(p, 1, opts.numWorkers);
-    bwEnabled_ = limits0_.enabled();
-    causalTrack_ = opts.trackCausalSites;
-    causalScaleSites_.insert(opts.causalScale.sites.begin(), opts.causalScale.sites.end());
-    causalScaleOn_ = !causalScaleSites_.empty();
-    causalNum_ = opts.causalScale.num;
-    causalDen_ = opts.causalScale.den;
-    causalActive_ = causalTrack_ || causalScaleOn_;
+    for (Value& g : globals_) globalRefs_.push_back(Value::makeRef(&g));
     specialFrames_ = causalActive_ || obs_ != nullptr;
     if (causalTrack_) {
-      // Dense site index (fid, instr) -> siteBase_[fid] + instr, so the
-      // per-charge accumulation is a flat array slot instead of a hash probe.
-      siteBase_.assign(m.numFunctions() + 1, 0);
-      for (FuncId f = 0; f < m.numFunctions(); ++f)
-        siteBase_[f + 1] = siteBase_[f] + static_cast<uint32_t>(m.function(f).numInstrs());
       // Static per-site cost table, straight from the compiled bytecode
       // (bi.cost is already icache-scaled). Seeding the accumulators with it
       // lets the dispatch loop count a static prologue charge with a single
@@ -207,256 +150,30 @@ class Engine {
           if (bi.cost2 != 0) staticCost_[base + bi.ir2] = bi.cost2;
         }
       }
-      causalAcc_.resize(opts.numWorkers + 1);
     }
   }
 
   RunResult run() {
     Ctx ctx;
-    ctx.icount = &result_.instructionsExecuted;
-    ctx.maxInstr = opts_.maxInstructions;
-    ctx.samples = &result_.log.samples;
-    ctx.output = &result_.output;
-    ctx.cycles = result_.cyclesPerFunction.data();
-    ctx.allocMap = &result_.log.allocBytesBySite;
-    ctx.echo = opts_.echoWriteln;
-    ctx.locale = opts_.localeId;
-    ctx.commGets = &result_.log.commGets;
-    ctx.commPuts = &result_.log.commPuts;
-    ctx.commOnForks = &result_.log.commOnForks;
-    ctx.commAggGets = &result_.log.commAggGets;
-    ctx.commAggPuts = &result_.log.commAggPuts;
-    ctx.commAggFlushes = &result_.log.commAggFlushes;
-    ctx.commMatrix = &result_.log.commMatrix;
-    ctx.commMemStall = &result_.log.commMemStallCycles;
-    ctx.commNetStall = &result_.log.commNetStallCycles;
-    ctx.commContention = &result_.log.commContentionCycles;
-    ctx.spans = &result_.log.taskSpans;
-    if (causalTrack_) {
-      ctx.acc = &causalAcc_[0];
-      ctx.acc->init(siteBase_, staticCost_.data());
-    }
-    ctx.bw.reset(0, limits0_);
-    ctx.next = nextFor(0);
-    try {
-      if (m_.moduleInitFunc != ir::kNone) callFunction(ctx, m_.moduleInitFunc, {});
-      CB_ASSERT(m_.mainFunc != ir::kNone, "module has no main");
-      callFunction(ctx, m_.mainFunc, {});
-      flushSkid(ctx);
-      for (uint32_t ws = 1; ws <= opts_.numWorkers; ++ws)
-        emitIdleSamples(ws, lastBusyEnd_[ws], ctx.clock);
-      closeSerialSpan(ctx, ctx.clock);
-      result_.ok = true;
-    } catch (const RunError& e) {
-      result_.ok = false;
-      result_.error = m_.sourceManager().render(e.loc) + ": " + e.message;
-    }
-    result_.totalCycles = ctx.clock;
-    result_.log.totalCycles = result_.totalCycles;
-    return std::move(result_);
+    bindMain(ctx, staticCost_.data());
+    return runMain(ctx, [&](FuncId f) { callFunction(ctx, f, {}); });
   }
 
  private:
-  struct EFrame {
-    uint32_t fid = 0;
+  struct EFrame : sem::Pos {
     std::vector<Value> regs;
     std::vector<Value> slots;
     std::vector<Value> args;
-    uint32_t curIr = 0;
   };
 
-  /// Per-execution-thread state. The main thread owns one Ctx for the whole
-  /// run; each parallel-replay stream gets a private Ctx whose sinks are
-  /// merged canonically afterwards. No Engine state is written through a
-  /// worker Ctx.
-  struct Ctx {
-    uint32_t stream = 0;
-    uint32_t curFid = 0;
-    uint64_t taskTag = 0;
-    uint64_t clock = 0;
-    uint64_t next = ~0ull;
-    uint64_t* icount = nullptr;
-    uint64_t maxInstr = 0;
-    std::vector<sampling::RawSample>* samples = nullptr;
-    std::string* output = nullptr;
-    uint64_t* cycles = nullptr;  // per-function busy cycles
-    std::unordered_map<uint64_t, uint64_t>* allocMap = nullptr;       // main thread
-    std::vector<std::pair<uint64_t, uint64_t>>* allocVec = nullptr;   // workers
-    bool echo = false;
-    // PGAS locale simulation: the locale this context currently executes on,
-    // the `on`-block restore stack, the comm classification pending for the
-    // next sample, and exact comm counters (main thread points straight into
-    // result_.log; workers into private tallies merged via TRec deltas).
-    int64_t locale = 0;
-    std::vector<int64_t> onStack;
-    sampling::AccessKind pending = sampling::AccessKind::None;
-    int32_t pendingSrc = 0;
-    int32_t pendingDst = 0;
-    uint64_t* commGets = nullptr;
-    uint64_t* commPuts = nullptr;
-    uint64_t* commOnForks = nullptr;
-    uint64_t* commAggGets = nullptr;
-    uint64_t* commAggPuts = nullptr;
-    uint64_t* commAggFlushes = nullptr;
-    std::map<uint64_t, uint64_t>* commMatrix = nullptr;
-    // Bandwidth-ceiling state (runtime/bandwidth.h): chunk-local like the
-    // pending access; the stall tallies point into result_.log on the main
-    // thread and into per-worker sums merged via TRec deltas.
-    BwState bw;
-    uint64_t* commMemStall = nullptr;
-    uint64_t* commNetStall = nullptr;
-    uint64_t* commContention = nullptr;
-    /// Open simulated aggregators (AggOpen handle = index, LIFO). Buffers
-    /// hold per-destination COUNTS only; values move eagerly at copy time.
-    struct AggState {
-      bool isSrc;
-      std::map<int64_t, uint32_t> pending;
-    };
-    std::vector<AggState> aggStack;
-    /// Causal span state: completed spans sink (main thread points straight
-    /// into result_.log.taskSpans, replay workers into per-stream vectors
-    /// merged via TRec ranges), the per-site split accrued for the currently
-    /// executing segment, and the start of the open main-stream serial
-    /// segment (meaningful on the main Ctx only).
-    std::vector<sampling::TaskSpan>* spans = nullptr;
-    /// Per-stream causal site accumulator (Engine::causalAcc_[stream]):
-    /// persistent across regions so a worker Ctx never re-zeroes the slot
-    /// array, and per-stream so concurrent replay streams never share one.
-    CausalAccumulator* acc = nullptr;
-    uint64_t serialStart = 0;
-    std::vector<uint32_t> skid;
-    std::vector<EFrame*> stack;
-    std::vector<sampling::Frame> cachedStack;
-    uint64_t stackGen = 0;
-    uint64_t cachedGen = ~0ull;
+  /// One execution stream's state plus its pool of reusable frames. The
+  /// main thread owns one Ctx for the whole run; each parallel-replay stream
+  /// gets a private Ctx whose sinks are merged canonically afterwards. No
+  /// Engine state is written through a worker Ctx.
+  struct Ctx : sem::Stream {
     std::vector<std::unique_ptr<EFrame>> frameStore;
     std::vector<EFrame*> freeFrames;
   };
-
-  [[noreturn]] static void fail(const std::string& msg, SourceLoc loc) {
-    throw RunError{msg, loc};
-  }
-
-  uint64_t nextFor(uint64_t t) const {
-    return threshold_ != 0 ? ((t / threshold_) + 1) * threshold_ : ~0ull;
-  }
-
-  // ---- sampling -----------------------------------------------------------
-
-  void emitSample(Ctx& c) {
-    if (c.cachedGen != c.stackGen) {
-      c.cachedStack.clear();
-      c.cachedStack.reserve(c.stack.size());
-      for (const EFrame* fr : c.stack) c.cachedStack.push_back({fr->fid, fr->curIr});
-      c.cachedGen = c.stackGen;
-    } else if (!c.cachedStack.empty()) {
-      c.cachedStack.back().instr = c.stack.back()->curIr;
-    }
-    sampling::RawSample s;
-    s.stream = c.stream;
-    s.taskTag = c.taskTag;
-    s.atCycle = c.clock;
-    s.accessKind = c.pending;
-    s.srcLocale = c.pendingSrc;
-    s.dstLocale = c.pendingDst;
-    s.stack = c.cachedStack;
-    c.samples->push_back(std::move(s));
-    c.pending = sampling::AccessKind::None;  // consumed by this sample
-    c.pendingSrc = c.pendingDst = 0;
-  }
-
-  void overflow(Ctx& c) {
-    while (c.clock >= c.next) {
-      c.next += threshold_ == 0 ? ~0ull : threshold_;
-      if (!hasSkid_) emitSample(c);
-      else c.skid.push_back(opts_.skidInstructions);
-    }
-  }
-
-  /// Causal charge hook — the bytecode twin of Interp's. The charge site is
-  /// the leaf frame's instruction pointer, which fused superinstructions
-  /// keep exact (curIr is advanced to ir2 before cost2 is charged), so both
-  /// engines see the identical per-charge (site, cost) sequence. The
-  /// what-if scale probe (ground-truth oracle re-runs only) stays
-  /// out-of-line; the tracking path is the accumulator's 8-byte slot touch.
-  inline void charge(Ctx& c, uint64_t cost) {
-    if (__builtin_expect(causalActive_, 0) && !c.stack.empty()) {
-      EFrame* fr = c.stack.back();
-      if (causalScaleOn_ &&
-          causalScaleSites_.count(sampling::RunLog::siteKey(fr->fid, fr->curIr)) != 0)
-        cost = causalScaledCost(cost, causalNum_, causalDen_);
-      if (causalTrack_ && cost != 0)
-        c.acc->charge(siteBase_[fr->fid] + fr->curIr, cost);
-    }
-    c.cycles[c.curFid] += cost;
-    c.clock += cost;
-    if (__builtin_expect(c.clock >= c.next, 0)) overflow(c);
-  }
-
-  // ---- task spans -----------------------------------------------------------
-
-  /// Appends one completed span to `c.spans` (completion order == canonical
-  /// emission order). `takeSites` moves the accrued per-site split into the
-  /// span — false for nested spans, whose cycles stay with the enclosing
-  /// top-level segment.
-  void pushSpan(Ctx& c, uint64_t tag, uint32_t chunk, uint32_t stream, uint64_t start,
-                uint64_t end, bool takeSites) {
-    sampling::TaskSpan sp;
-    sp.tag = tag;
-    sp.chunk = chunk;
-    sp.stream = stream;
-    sp.startCycle = start;
-    sp.endCycle = end;
-    if (takeSites && causalTrack_) {
-      sp.sites.reserve(c.acc->lastDrainCount());
-      c.acc->drain([&sp](uint32_t fid, uint32_t instr, uint64_t raw, uint64_t s125,
-                         uint64_t s2, uint64_t s4) {
-        sp.sites.push_back({sampling::RunLog::siteKey(fid, instr), raw, s125, s2, s4});
-      });
-    }
-    c.spans->push_back(std::move(sp));
-  }
-
-  /// Closes the open main-stream serial segment at `end` (eliding zero-length
-  /// segments) and re-opens it there.
-  void closeSerialSpan(Ctx& c, uint64_t end) {
-    if (end > c.serialStart) {
-      pushSpan(c, 0, 0, 0, c.serialStart, end, true);
-    } else if (causalTrack_) {
-      c.acc->discard();
-    }
-    c.serialStart = end;
-  }
-
-  void tickSkid(Ctx& c) {
-    if (c.skid.empty()) return;
-    size_t w = 0;
-    for (size_t r = 0; r < c.skid.size(); ++r) {
-      if (--c.skid[r] == 0) emitSample(c);
-      else c.skid[w++] = c.skid[r];
-    }
-    c.skid.resize(w);
-  }
-
-  void flushSkid(Ctx& c) {
-    for (size_t k = 0; k < c.skid.size(); ++k) emitSample(c);
-    c.skid.clear();
-  }
-
-  void emitIdleSamples(uint32_t stream, uint64_t from, uint64_t to) {
-    if (!opts_.sampleIdle || threshold_ == 0) return;
-    uint64_t first = (from / threshold_ + 1) * threshold_;
-    for (uint64_t t = first; t <= to; t += threshold_) {
-      sampling::RawSample s;
-      s.stream = stream;
-      s.atCycle = t;
-      uint64_t k = idleSampleCounter_++;
-      if (k % 20 == 19) s.runtimeFrame = sampling::RuntimeFrameKind::ChplTaskYield;
-      else if (k % 20 >= 17) s.runtimeFrame = sampling::RuntimeFrameKind::PthreadState;
-      else s.runtimeFrame = sampling::RuntimeFrameKind::SchedYield;
-      result_.log.samples.push_back(std::move(s));
-    }
-  }
 
   // ---- operands / values --------------------------------------------------
 
@@ -477,121 +194,16 @@ class Engine {
     return x.ref;
   }
 
-  bool typeOwnsArrays(TypeId t) const {
-    const ir::Type& ty = m_.types().get(t);
-    switch (ty.kind) {
-      case TypeKind::Array: return true;
-      case TypeKind::Tuple:
-        for (TypeId e : ty.elems)
-          if (typeOwnsArrays(e)) return true;
-        return false;
-      case TypeKind::Record:
-        for (const ir::RecordField& f : ty.fields)
-          if (typeOwnsArrays(f.type)) return true;
-        return false;
-      default: return false;
-    }
+  /// Record field-domain thunks run on `c`; the observer sees every array
+  /// allocation (sem::Core::defaultValue/makeArray).
+  auto thunk(Ctx& c) {
+    return [this, &c](FuncId f) { return callFunction(c, f, {}); };
   }
-
-  uint64_t scalarWidth(TypeId t) const {
-    const ir::Type& ty = m_.types().get(t);
-    switch (ty.kind) {
-      case TypeKind::Tuple: {
-        uint64_t w = 0;
-        for (TypeId e : ty.elems) w += scalarWidth(e);
-        return w;
-      }
-      case TypeKind::Record: {
-        uint64_t w = 0;
-        for (const ir::RecordField& f : ty.fields) w += scalarWidth(f.type);
-        return w;
-      }
-      default: return 1;
-    }
-  }
-
-  Value defaultValue(Ctx& c, TypeId t) {
-    const ir::Type& ty = m_.types().get(t);
-    switch (ty.kind) {
-      case TypeKind::Int: return Value::makeInt(0);
-      case TypeKind::Real: return Value::makeReal(0.0);
-      case TypeKind::Bool: return Value::makeBool(false);
-      case TypeKind::String: return Value::makeStr("");
-      case TypeKind::Domain: return Value::makeDomain(DomainVal{});
-      case TypeKind::Tuple: {
-        Value v;
-        v.kind = VKind::Tuple;
-        v.elems.reserve(ty.elems.size());
-        for (TypeId e : ty.elems) v.elems.push_back(defaultValue(c, e));
-        return v;
-      }
-      case TypeKind::Record: {
-        Value v;
-        v.kind = VKind::Record;
-        v.elems.reserve(ty.fields.size());
-        for (uint32_t i = 0; i < ty.fields.size(); ++i) {
-          TypeId ft = ty.fields[i].type;
-          if (m_.types().kindOf(ft) == TypeKind::Array) {
-            auto th = m_.fieldDomainThunks.find({t, i});
-            if (th != m_.fieldDomainThunks.end()) {
-              Value dom = callFunction(c, th->second, {});
-              v.elems.push_back(makeArray(c, dom.dom, m_.types().get(ft).elem, ir::kNone, 0));
-            } else {
-              Value empty;
-              empty.kind = VKind::Array;
-              v.elems.push_back(std::move(empty));
-            }
-          } else {
-            v.elems.push_back(defaultValue(c, ft));
-          }
-        }
-        return v;
-      }
-      case TypeKind::Array: {
-        Value v;
-        v.kind = VKind::Array;
-        return v;
-      }
-      default: return Value{};
-    }
-  }
-
-  Value makeArray(Ctx& c, const DomainVal& dom, TypeId elemTy, FuncId allocFn,
-                  InstrId allocInstr) {
-    int64_t n = dom.size();
-    auto obj = std::make_shared<ArrayObj>();
-    obj->dom = dom;
-    uint64_t width = scalarWidth(elemTy);
-    if (memBwRateC_ != 0 && static_cast<uint64_t>(n) * width * 8 > memCacheResC_)
-      obj->streamBytes = static_cast<uint32_t>(8 * width);
-    obj->data.reserve(static_cast<size_t>(n));
-    if (n > 0) {
-      if (typeOwnsArrays(elemTy)) {
-        for (int64_t k = 0; k < n; ++k) obj->data.push_back(defaultValue(c, elemTy));
-      } else {
-        Value proto = defaultValue(c, elemTy);
-        for (int64_t k = 0; k < n; ++k) obj->data.push_back(proto);
-      }
-    }
-    charge(c, arrayNewPerElemC_ * static_cast<uint64_t>(n) * width);
-    if (obs_)
-      obs_->arrayAllocated(obj.get(), allocFn != ir::kNone
-                                          ? m_.function(allocFn).instrs[allocInstr].loc
-                                          : SourceLoc{});
-    Value v;
-    v.kind = VKind::Array;
-    v.arr = std::move(obj);
-    if (allocFn != ir::kNone) {
-      uint64_t key = sampling::RunLog::siteKey(allocFn, allocInstr);
-      uint64_t bytes = v.arr->approxBytes();
-      if (c.allocVec) {
-        c.allocVec->emplace_back(key, bytes);
-      } else {
-        auto& slot = (*c.allocMap)[key];
-        if (bytes > slot) slot = bytes;
-      }
-    }
-    return v;
+  auto allocHook() {
+    return [this](const ArrayObj* a, FuncId fn, InstrId ir) {
+      if (obs_)
+        obs_->arrayAllocated(a, fn != ir::kNone ? m_.function(fn).instrs[ir].loc : SourceLoc{});
+    };
   }
 
   // ---- calls / dispatch ---------------------------------------------------
@@ -622,25 +234,14 @@ class Engine {
     if (fr->regs.size() != bf.numRegs) fr->regs.resize(bf.numRegs);
     if (fr->slots.size() != bf.numSlots) fr->slots.resize(bf.numSlots);
     for (uint32_t s : bf.resetSlots) resetValue(fr->slots[s]);
-    fr->curIr = 0;
+    fr->ir = 0;
     return fr;
   }
 
   void enterAndRun(Ctx& c, FuncId f, EFrame* fr, Value& out) {
-    c.stack.push_back(fr);
-    ++c.stackGen;
-    uint32_t savedFid = c.curFid;
-    // `on` blocks are lexically scoped: a return from inside one must not
-    // leak the switched locale into the caller.
-    int64_t savedLocale = c.locale;
-    size_t savedOnDepth = c.onStack.size();
-    c.curFid = f;
+    sem::CallScope sc = sem::enter(c, fr);
     execFrame(c, *fr, compiled_.funcs[f], m_.function(f), out);
-    c.locale = savedLocale;
-    c.onStack.resize(savedOnDepth);
-    c.stack.pop_back();
-    ++c.stackGen;
-    c.curFid = savedFid;
+    sem::leave(c, sc);
     fr->args.clear();
     c.freeFrames.push_back(fr);
   }
@@ -707,16 +308,18 @@ class Engine {
     if (rk == TypeKind::Int) {
       int64_t x = a.asInt(), y = b.asInt(), r = 0;
       switch (k) {
-        case BinKind::Add: r = x + y; break;
-        case BinKind::Sub: r = x - y; break;
-        case BinKind::Mul: r = x * y; break;
+        // int arithmetic wraps (two's complement) instead of overflowing.
+        case BinKind::Add: __builtin_add_overflow(x, y, &r); break;
+        case BinKind::Sub: __builtin_sub_overflow(x, y, &r); break;
+        case BinKind::Mul: __builtin_mul_overflow(x, y, &r); break;
         case BinKind::Div:
           if (y == 0) fail("integer division by zero", irFn.instrs[bi.ir].loc);
-          r = x / y;
+          if (y == -1) __builtin_sub_overflow(0, x, &r);
+          else r = x / y;
           break;
         case BinKind::Mod:
           if (y == 0) fail("integer modulo by zero", irFn.instrs[bi.ir].loc);
-          r = x % y;
+          r = y == -1 ? 0 : x % y;
           break;
         case BinKind::Min: r = x < y ? x : y; break;
         case BinKind::Max: r = x > y ? x : y; break;
@@ -745,14 +348,14 @@ class Engine {
     const Value& v = rd(c, fr, bi.a);
     switch (static_cast<UnKind>(bi.sub)) {
       case UnKind::Neg:
-        if (v.kind == VKind::Int) setInt(out, -v.i);
+        if (v.kind == VKind::Int) setInt(out, wrapNeg(v.i));  // wraps, like the binary ops
         else setReal(out, -v.num());
         return;
       case UnKind::Not: setBool(out, !v.asBool()); return;
       case UnKind::IntToReal: setReal(out, static_cast<double>(v.asInt())); return;
       case UnKind::RealToInt: setInt(out, static_cast<int64_t>(v.num())); return;
       case UnKind::Abs:
-        if (v.kind == VKind::Int) setInt(out, std::llabs(v.i));
+        if (v.kind == VKind::Int) setInt(out, v.i < 0 ? wrapNeg(v.i) : v.i);
         else setReal(out, std::fabs(v.num()));
         return;
       case UnKind::Sqrt: setReal(out, std::sqrt(v.num())); return;
@@ -763,68 +366,9 @@ class Engine {
     }
   }
 
-  /// PGAS access classification, mirroring Interp::noteArrayAccess: views
-  /// defer ownership to their base array; a remote owner charges the GET/PUT
-  /// cost and bumps the exact counters; the kind stays pending for the next
-  /// sample.
-  inline void noteArrayAccess(Ctx& c, const ArrayObj* arr, int64_t idx0, bool isStore) {
-    const ArrayObj* own = arr->base ? arr->base.get() : arr;
-    const DomainVal& od = own->dom;
-    int64_t owner;
-    if (od.distKind != 0 && od.distLocales > 1 && (owner = od.ownerOf(idx0)) != c.locale) {
-      c.pendingSrc = static_cast<int32_t>(c.locale);
-      c.pendingDst = static_cast<int32_t>(owner);
-      ++(*c.commMatrix)[sampling::RunLog::pairKey(c.locale, owner)];
-      if (isStore) {
-        c.pending = sampling::AccessKind::RemotePut;
-        ++*c.commPuts;
-        charge(c, remotePutC_);
-      } else {
-        c.pending = sampling::AccessKind::RemoteGet;
-        ++*c.commGets;
-        charge(c, remoteGetC_);
-      }
-      if (bwEnabled_) chargeNetBw(c, owner, bwLimits(c).netElemBytes);
-    } else {
-      c.pending = sampling::AccessKind::Local;
-      c.pendingSrc = c.pendingDst = 0;
-      if (bwEnabled_) chargeLocalBw(c, own);
-    }
-  }
-
-  // ---- bandwidth ceilings (mirrors Interp::chargeNetBw/chargeLocalBw) ----
-
-  const BwLimits& bwLimits(const Ctx& c) const {
-    return c.stream == 0 ? limits0_ : limitsW_;
-  }
-
-  void chargeNetBw(Ctx& c, int64_t peer, uint64_t bytes) {
-    const BwLimits& lim = bwLimits(c);
-    uint64_t cs = c.bw.cont.note(c.clock, peer, lim);
-    if (cs) {
-      *c.commContention += cs;
-      charge(c, cs);
-    }
-    uint64_t ns = c.bw.net.consume(c.clock, bytes, lim.netRate, lim.netBurstQ);
-    if (ns) {
-      *c.commNetStall += ns;
-      charge(c, ns);
-    }
-  }
-
-  void chargeLocalBw(Ctx& c, const ArrayObj* own) {
-    const BwLimits& lim = bwLimits(c);
-    if (lim.memRate == 0 || own->streamBytes == 0) return;
-    uint64_t ms = c.bw.mem.consume(c.clock, own->streamBytes, lim.memRate, lim.memBurstQ);
-    if (ms) {
-      *c.commMemStall += ms;
-      charge(c, ms);
-    }
-  }
-
-  /// IndexAddr address computation shared by the plain and fused forms;
-  /// charges the view penalty and the PGAS remote-access cost exactly where
-  /// the tree-walker does. kObserve reports the access to the observer.
+  /// IndexAddr address computation shared by the plain and fused forms,
+  /// with the view penalty and the PGAS access rule (sem::Core::
+  /// noteArrayAccess). kObserve reports the access to the observer.
   template <bool kObserve>
   Value* indexAddr(Ctx& c, EFrame& fr, const bc::BInstr& bi, const bc::BOperand* ops,
                    SourceLoc loc) {
@@ -836,8 +380,7 @@ class Engine {
       int64_t k = rd(c, fr, ops[bi.opBase + 1]).asInt();
       p = base.arr->atLinear(k);
       if (p) {
-        const ArrayObj* own = base.arr->base ? base.arr->base.get() : base.arr.get();
-        if (kObserve || (own->dom.distKind != 0 && own->dom.distLocales > 1)) {
+        if (kObserve || sem::distributed(sem::storageOf(base.arr.get())->dom)) {
           int64_t idx[3];
           base.arr->dom.delinearize(k, idx);
           idx0 = idx[0];
@@ -851,7 +394,7 @@ class Engine {
       idx0 = idx[0];
     }
     if (!p) fail("array index out of bounds", loc);
-    if (base.arr->isView()) charge(c, viewExtraC_);
+    if (base.arr->isView()) charge(c, prof().viewIndexExtra);
     noteArrayAccess(c, base.arr.get(), idx0, (bi.flags & bc::kStore) != 0);
     if constexpr (kObserve) observeAccess(c, fr, bi, base.arr.get(), idx0);
     return p;
@@ -863,26 +406,24 @@ class Engine {
   void observeAccess(const Ctx& c, const EFrame& fr, const bc::BInstr& bi, const ArrayObj* arr,
                      int64_t idx0) {
     an::loc::Access a;
-    a.own = arr->base ? arr->base.get() : arr;
-    const DomainVal& od = a.own->dom;
+    a.own = sem::storageOf(arr);
     a.fn = fr.fid;
     a.instr = bi.ir;
     a.idx0 = idx0;
     a.locale = c.locale;
-    a.owner = od.distKind != 0 && od.distLocales > 1 ? od.ownerOf(idx0) : c.locale;
+    a.owner = sem::ownerOf(a.own, idx0, c.locale);
     a.store = (bi.flags & bc::kStore) != 0;
     a.inTask = c.taskTag != 0;
     a.mass = cost_.cost(m_.function(fr.fid).instrs[bi.ir]);
-    if (arr->isView()) a.mass += viewExtraC_;
-    if (a.owner != a.locale) a.mass += a.store ? remotePutC_ : remoteGetC_;
+    if (arr->isView()) a.mass += prof().viewIndexExtra;
+    if (a.owner != a.locale) a.mass += a.store ? prof().remotePut : prof().remoteGet;
     obs_->access(a);
   }
 
   /// A Store of an array value, reported for naming.
   void observeStore(const EFrame& fr, const bc::BInstr& bi, const Value& v) {
     if (v.kind != VKind::Array || !v.arr) return;
-    obs_->arrayStored(fr.fid, m_.function(fr.fid).instrs[bi.ir],
-                      v.arr->base ? v.arr->base.get() : v.arr.get());
+    obs_->arrayStored(fr.fid, m_.function(fr.fid).instrs[bi.ir], sem::storageOf(v.arr.get()));
   }
 
   void execFrame(Ctx& ctx, EFrame& fr, const bc::BFunc& bf, const ir::Function& irFn,
@@ -895,183 +436,53 @@ class Engine {
   template <bool kCausal, bool kObserve>
   void execFrameT(Ctx& ctx, EFrame& fr, const bc::BFunc& bf, const ir::Function& irFn,
                   Value& out);
-
   void execBuiltin(Ctx& ctx, EFrame& fr, const bc::BInstr& bi, const bc::BOperand* ops,
                    const ir::Function& irFn) {
     using ir::BuiltinKind;
+    auto op = [&](uint32_t k) -> const Value& { return rd(ctx, fr, ops[bi.opBase + k]); };
+    SourceLoc loc = irFn.instrs[bi.ir].loc;
+    Value& dst = fr.regs[bi.dst];
     switch (static_cast<BuiltinKind>(bi.sub)) {
       case BuiltinKind::Writeln: {
         std::string line;
         for (uint32_t k = 0; k < bi.nops; ++k) {
           if (k) line += " ";
-          line += renderValue(rd(ctx, fr, ops[bi.opBase + k]));
+          line += renderValue(op(k));
         }
-        line += "\n";
-        if (ctx.echo) std::fputs(line.c_str(), stdout);
-        *ctx.output += line;
+        writeln(ctx, std::move(line));
         break;
       }
-      case BuiltinKind::Random:
-        fr.regs[bi.dst] = Value::makeReal(rng_.nextDouble());
-        break;
-      case BuiltinKind::Clock:
-        fr.regs[bi.dst] = Value::makeInt(static_cast<int64_t>(ctx.clock));
-        break;
+      case BuiltinKind::Random: dst = Value::makeReal(rng_.nextDouble()); break;
+      case BuiltinKind::Clock: dst = Value::makeInt(static_cast<int64_t>(ctx.pmu.clock)); break;
       case BuiltinKind::Yield:
-      case BuiltinKind::HeapHint:
-        break;
-      case BuiltinKind::ArrayFill: {
-        const Value& arr = rd(ctx, fr, ops[bi.opBase]);
-        const Value& v = rd(ctx, fr, ops[bi.opBase + 1]);
-        if (arr.kind != VKind::Array || !arr.arr)
-          fail("fill of a non-array", irFn.instrs[bi.ir].loc);
-        int64_t n = arr.arr->dom.size();
-        for (int64_t k = 0; k < n; ++k) *arr.arr->atLinear(k) = v;
-        charge(ctx, arrayFillPerElemC_ * static_cast<uint64_t>(n));
-        break;
-      }
-      case BuiltinKind::ArrayCopy: {
-        const Value& dst = rd(ctx, fr, ops[bi.opBase]);
-        const Value& src = rd(ctx, fr, ops[bi.opBase + 1]);
-        if (dst.kind != VKind::Array || !dst.arr || src.kind != VKind::Array || !src.arr)
-          fail("copy of a non-array", irFn.instrs[bi.ir].loc);
-        int64_t n = dst.arr->dom.size();
-        if (n != src.arr->dom.size()) fail("array copy size mismatch", irFn.instrs[bi.ir].loc);
-        for (int64_t k = 0; k < n; ++k) *dst.arr->atLinear(k) = *src.arr->atLinear(k);
-        charge(ctx, arrayCopyPerElemC_ * static_cast<uint64_t>(n));
-        break;
-      }
-      case BuiltinKind::ConfigGet: {
-        const Value& name = rd(ctx, fr, ops[bi.opBase]);
-        const Value& def = rd(ctx, fr, ops[bi.opBase + 1]);
-        auto it = opts_.configOverrides.find(name.str ? *name.str : "");
-        if (it == opts_.configOverrides.end()) {
-          fr.regs[bi.dst] = def;
-          break;
+      case BuiltinKind::HeapHint: break;
+      case BuiltinKind::ArrayFill: arrayFill(ctx, op(0), op(1), loc); break;
+      case BuiltinKind::ArrayCopy: arrayCopy(ctx, op(0), op(1), loc); break;
+      case BuiltinKind::ConfigGet: dst = configGet(op(0), op(1), loc); break;
+      case BuiltinKind::Dmapped: setDomain(dst, dmapped(op(0), op(1).asInt(), loc)); break;
+      case BuiltinKind::OnBegin: onBegin(ctx, op(0).asInt()); break;
+      case BuiltinKind::OnEnd: onEnd(ctx); break;
+      case BuiltinKind::HereId: setInt(dst, ctx.locale); break;
+      case BuiltinKind::NumLocales: setInt(dst, numLocales()); break;
+      case BuiltinKind::AggOpen: setInt(dst, aggOpen(ctx, op(0).asInt() != 0)); break;
+      case BuiltinKind::AggCopy: {
+        sem::AggState& st = aggAt(ctx, op(0).asInt(), loc);
+        const Value& remote = op(st.isSrc ? 2 : 1);
+        int64_t idx0 = op(st.isSrc ? 3 : 2).asInt();
+        Value* elem = aggCopy(ctx, st, remote, idx0, loc);
+        if (obs_) {
+          const ArrayObj* own = sem::storageOf(remote.arr.get());
+          obs_->aggCopy(own, ctx.locale, sem::ownerOf(own, idx0, ctx.locale), st.isSrc);
         }
-        const std::string& s = it->second;
-        switch (def.kind) {
-          case VKind::Int:
-            fr.regs[bi.dst] = Value::makeInt(std::strtoll(s.c_str(), nullptr, 10));
-            break;
-          case VKind::Real:
-            fr.regs[bi.dst] = Value::makeReal(std::strtod(s.c_str(), nullptr));
-            break;
-          case VKind::Bool:
-            fr.regs[bi.dst] = Value::makeBool(s == "true" || s == "1");
-            break;
-          default: fr.regs[bi.dst] = def; break;
-        }
+        if (st.isSrc) *refOf(ctx, fr, ops[bi.opBase + 1], loc) = *elem;
+        else *elem = op(3);
         break;
       }
-      case BuiltinKind::Dmapped: {
-        const Value& d = rd(ctx, fr, ops[bi.opBase]);
-        if (d.kind != VKind::Domain) fail("dmapped on a non-domain", irFn.instrs[bi.ir].loc);
-        DomainVal dv = d.dom;
-        dv.distKind = static_cast<uint8_t>(rd(ctx, fr, ops[bi.opBase + 1]).asInt());
-        dv.distLocales = static_cast<uint16_t>(std::max<uint32_t>(1, opts_.numLocales));
-        setDomain(fr.regs[bi.dst], dv);
-        break;
-      }
-      case BuiltinKind::OnBegin: {
-        int64_t target = rd(ctx, fr, ops[bi.opBase]).asInt();
-        int64_t L = std::max<int64_t>(1, opts_.numLocales);
-        target = ((target % L) + L) % L;  // wrap like Locales[i % numLocales]
-        ctx.onStack.push_back(ctx.locale);
-        if (target != ctx.locale) {
-          ++*ctx.commOnForks;
-          charge(ctx, onForkC_);
-        }
-        ctx.locale = target;
-        break;
-      }
-      case BuiltinKind::OnEnd:
-        if (!ctx.onStack.empty()) {
-          ctx.locale = ctx.onStack.back();
-          ctx.onStack.pop_back();
-        }
-        break;
-      case BuiltinKind::HereId:
-        setInt(fr.regs[bi.dst], ctx.locale);
-        break;
-      case BuiltinKind::NumLocales:
-        setInt(fr.regs[bi.dst], std::max<int64_t>(1, opts_.numLocales));
-        break;
-      case BuiltinKind::AggOpen: {
-        bool isSrc = rd(ctx, fr, ops[bi.opBase]).asInt() != 0;
-        ctx.aggStack.push_back(Ctx::AggState{isSrc, {}});
-        setInt(fr.regs[bi.dst], static_cast<int64_t>(ctx.aggStack.size()) - 1);
-        break;
-      }
-      case BuiltinKind::AggCopy:
-        execAggCopy(ctx, fr, bi, ops, irFn);
-        break;
-      case BuiltinKind::AggClose: {
-        int64_t h = rd(ctx, fr, ops[bi.opBase]).asInt();
-        if (h < 0 || static_cast<size_t>(h) != ctx.aggStack.size() - 1 ||
-            ctx.aggStack.empty())
-          fail("aggregator closed out of order", irFn.instrs[bi.ir].loc);
-        Ctx::AggState& st = ctx.aggStack.back();
-        for (const auto& [peer, n] : st.pending) {
-          if (n == 0) continue;
-          ++*ctx.commAggFlushes;
-          charge(ctx, aggFlushLatencyC_ + aggPerElemC_ * n);
-          if (bwEnabled_) chargeNetBw(ctx, peer, n * bwLimits(ctx).netElemBytes);
-        }
-        ctx.aggStack.pop_back();
-        break;
-      }
+      case BuiltinKind::AggClose: aggClose(ctx, op(0).asInt(), loc); break;
     }
   }
 
-  /// One simulated agg.copy(), mirroring Interp::execAggCopy: classify the
-  /// remote leg, bump the agg counters + matrix, buffer a per-destination
-  /// count (flushing at capacity for latency + n*bandwidth), then move the
-  /// value eagerly so final state matches the non-aggregated program.
-  void execAggCopy(Ctx& ctx, EFrame& fr, const bc::BInstr& bi, const bc::BOperand* ops,
-                   const ir::Function& irFn) {
-    SourceLoc loc = irFn.instrs[bi.ir].loc;
-    int64_t h = rd(ctx, fr, ops[bi.opBase]).asInt();
-    if (h < 0 || static_cast<size_t>(h) >= ctx.aggStack.size())
-      fail("aggregator used outside its task", loc);
-    Ctx::AggState& st = ctx.aggStack[static_cast<size_t>(h)];
-    const Value& remoteArrV = rd(ctx, fr, ops[bi.opBase + (st.isSrc ? 2 : 1)]);
-    if (remoteArrV.kind != VKind::Array || !remoteArrV.arr)
-      fail("agg.copy element operand is not an array", loc);
-    int64_t idx[3] = {rd(ctx, fr, ops[bi.opBase + (st.isSrc ? 3 : 2)]).asInt(), 0, 0};
-    Value* elem = remoteArrV.arr->at(idx);
-    if (!elem) fail("array index out of bounds", loc);
-    const ArrayObj* own = remoteArrV.arr->base ? remoteArrV.arr->base.get()
-                                               : remoteArrV.arr.get();
-    const DomainVal& od = own->dom;
-    int64_t owner = ctx.locale;
-    if (od.distKind != 0 && od.distLocales > 1) owner = od.ownerOf(idx[0]);
-    if (obs_) obs_->aggCopy(own, ctx.locale, owner, st.isSrc);
-    if (owner != ctx.locale) {
-      ctx.pending = st.isSrc ? sampling::AccessKind::RemoteGet
-                             : sampling::AccessKind::RemotePut;
-      ctx.pendingSrc = static_cast<int32_t>(ctx.locale);
-      ctx.pendingDst = static_cast<int32_t>(owner);
-      ++*(st.isSrc ? ctx.commAggGets : ctx.commAggPuts);
-      ++(*ctx.commMatrix)[sampling::RunLog::pairKey(ctx.locale, owner)];
-      uint32_t& pending = st.pending[owner];
-      if (++pending >= aggBufferCapC_) {
-        ++*ctx.commAggFlushes;
-        charge(ctx, aggFlushLatencyC_ + aggPerElemC_ * pending);
-        if (bwEnabled_) chargeNetBw(ctx, owner, pending * bwLimits(ctx).netElemBytes);
-        pending = 0;
-      }
-    } else {
-      ctx.pending = sampling::AccessKind::Local;
-      ctx.pendingSrc = ctx.pendingDst = 0;
-    }
-    if (st.isSrc) {
-      Value* dst = refOf(ctx, fr, ops[bi.opBase + 1], loc);
-      *dst = *elem;
-    } else {
-      *elem = rd(ctx, fr, ops[bi.opBase + 3]);
-    }
-  }
+  // ---- spawn --------------------------------------------------------------
 
   // ---- spawn --------------------------------------------------------------
 
@@ -1089,7 +500,7 @@ class Engine {
       case VKind::Array: {
         if (!v.arr) return;
         ArrayObj* a = v.arr.get();
-        out.push_back(a->base ? a->base.get() : a);
+        out.push_back(sem::storageOf(a));
         const Value* first = a->atLinear(0);
         if (!first || !holdsArrays(*first)) return;
         for (int64_t k = 0, n = a->dom.size(); k < n; ++k)
@@ -1119,7 +530,7 @@ class Engine {
   /// the root's base storage once and rejects the region when two elements
   /// share a sub-array or a sub-array is some root's storage: the prover
   /// charged every sub-array access to its owning element.
-  bool canParallelize(const bc::SpawnPlan& plan, size_t numChunks,
+  bool canParallelize(const bc::SpawnPlan& plan, uint64_t numChunks,
                       const std::vector<Value>& extra, Ctx& ctx) {
     if (!plan.verdict.raceFree || obs_) return false;
     if (effectiveReplayThreads() <= 1) return false;
@@ -1149,7 +560,7 @@ class Engine {
         v = &v->elems[p];
       }
       if (v->kind != VKind::Array || !v->arr) return false;
-      canon.push_back(v->arr->base ? v->arr->base.get() : v->arr.get());
+      canon.push_back(sem::storageOf(v->arr.get()));
     }
     for (size_t i = 0; i < canon.size(); ++i)
       for (size_t j = i + 1; j < canon.size(); ++j)
@@ -1170,8 +581,7 @@ class Engine {
     return true;
   }
 
-  void runParallel(Ctx& ctx, FuncId taskFn, const bc::BInstr& bi, const ir::Function& irFn,
-                   const std::vector<std::pair<int64_t, int64_t>>& chunks,
+  void runParallel(Ctx& ctx, FuncId taskFn, SourceLoc loc, const sem::ChunkPlan& plan,
                    const std::vector<Value>& extra, uint64_t tag, uint64_t t0,
                    std::vector<uint64_t>& workerEnd);
 
@@ -1182,203 +592,43 @@ class Engine {
     int64_t hi = rd(ctx, fr, ops[bi.opBase + 1]).asInt();
     std::vector<Value> extra;
     for (uint32_t k = 2; k < bi.nops; ++k) extra.push_back(rd(ctx, fr, ops[bi.opBase + k]));
-
-    std::vector<std::pair<int64_t, int64_t>> chunks;
-    int64_t count = hi - lo + 1;
-    if (count > 0) {
-      if (bi.sub == 1) {
-        for (int64_t i = lo; i <= hi; ++i) chunks.emplace_back(i, i);
-      } else {
-        int64_t w = std::max<int64_t>(1, opts_.numWorkers);
-        int64_t per = (count + w - 1) / w;
-        for (int64_t c2 = lo; c2 <= hi; c2 += per)
-          chunks.emplace_back(c2, std::min(hi, c2 + per - 1));
-      }
-    }
-    charge(ctx, spawnPerTaskC_ * chunks.size());
-
-    uint64_t tag = ++tagCounter_;
-    sampling::SpawnRecord rec;
-    rec.tag = tag;
-    rec.parentTag = ctx.taskTag;
-    rec.taskFn = bi.t0;
-    rec.spawnInstr = bi.ir;
-    rec.preSpawnStack.reserve(ctx.stack.size());
-    for (const EFrame* f : ctx.stack) rec.preSpawnStack.push_back({f->fid, f->curIr});
-    result_.log.spawns.emplace(tag, std::move(rec));
-
-    flushSkid(ctx);
-    uint64_t savedTag = ctx.taskTag;
-    uint32_t savedStream = ctx.stream;
-    // Each task chunk starts with no pending comm attribution, regardless of
-    // whether chunks run here sequentially or on replay threads.
-    sampling::AccessKind savedPending = ctx.pending;
-    int32_t savedSrc = ctx.pendingSrc, savedDst = ctx.pendingDst;
-    BwState savedBw = ctx.bw;  // bandwidth state is chunk-local, like the pending access
-    std::vector<EFrame*> savedStack;
-    savedStack.swap(ctx.stack);
-    ++ctx.stackGen;
-
-    if (savedTag != 0 || savedStream != 0) {
-      // Nested spawn: run inline on the current stream (saturated pool).
-      ctx.taskTag = tag;
-      for (size_t ti = 0; ti < chunks.size(); ++ti) {
-        std::vector<Value> args;
-        args.reserve(2 + extra.size());
-        args.push_back(Value::makeInt(chunks[ti].first));
-        args.push_back(Value::makeInt(chunks[ti].second));
-        for (const Value& v : extra) args.push_back(v);
-        ctx.pending = sampling::AccessKind::None;
-        ctx.pendingSrc = ctx.pendingDst = 0;
-        uint64_t nStart = ctx.clock;
-        ctx.bw.reset(nStart, bwLimits(ctx));
-        callFunction(ctx, bi.t0, std::move(args));
-        flushSkid(ctx);
-        // Nested spans carry no site split — their cycles stay accrued to
-        // the enclosing top-level segment's map.
-        pushSpan(ctx, tag, static_cast<uint32_t>(ti), ctx.stream, nStart, ctx.clock,
-                 /*takeSites=*/false);
-      }
-    } else {
-      uint64_t t0 = ctx.clock;
-      closeSerialSpan(ctx, t0);  // the fork ends the main-stream serial segment
-      uint32_t w = opts_.numWorkers;
-      for (uint32_t ws = 1; ws <= w; ++ws) {
-        emitIdleSamples(ws, lastBusyEnd_[ws], t0);
-        lastBusyEnd_[ws] = t0;
-      }
-      std::vector<uint64_t> workerEnd(w + 1, t0);
-      ctx.taskTag = tag;
-      // Count regions the prover could not clear: depends only on the static
-      // verdict (not replay width or runtime aliasing), so the counter is
-      // identical across engines and worker counts.
-      if (!compiled_.plans[bi.t1].verdict.raceFree) ++result_.log.raceFallbackRegions;
-      try {
-        if (canParallelize(compiled_.plans[bi.t1], chunks.size(), extra, ctx)) {
-          runParallel(ctx, bi.t0, bi, irFn, chunks, extra, tag, t0, workerEnd);
-        } else {
-          for (size_t ti = 0; ti < chunks.size(); ++ti) {
-            uint32_t ws = 1 + static_cast<uint32_t>(ti % w);
-            uint64_t chunkStart = workerEnd[ws];
-            ctx.stream = ws;
-            ctx.clock = workerEnd[ws];
-            ctx.next = nextFor(workerEnd[ws]);
-            std::vector<Value> args;
-            args.reserve(2 + extra.size());
-            args.push_back(Value::makeInt(chunks[ti].first));
-            args.push_back(Value::makeInt(chunks[ti].second));
-            for (const Value& v : extra) args.push_back(v);
-            ctx.pending = sampling::AccessKind::None;
-            ctx.pendingSrc = ctx.pendingDst = 0;
-            ctx.bw.reset(workerEnd[ws], limitsW_);
-            callFunction(ctx, bi.t0, std::move(args));
-            flushSkid(ctx);
-            workerEnd[ws] = ctx.clock;
-            pushSpan(ctx, tag, static_cast<uint32_t>(ti), ws, chunkStart, ctx.clock,
-                     /*takeSites=*/true);
-          }
-        }
-      } catch (...) {
-        // The main stream's clock never moved during the region; leave the
-        // Ctx exactly where the tree-walker's pmu would be on this error
-        // path (clock(0) == t0) before unwinding to run().
-        ctx.stream = 0;
-        ctx.clock = t0;
-        ctx.next = nextFor(t0);
-        throw;
-      }
-      uint64_t tEnd = t0;
-      for (uint32_t ws = 1; ws <= w; ++ws) tEnd = std::max(tEnd, workerEnd[ws]);
-      for (uint32_t ws = 1; ws <= w; ++ws) {
-        emitIdleSamples(ws, workerEnd[ws], tEnd);
-        lastBusyEnd_[ws] = tEnd;
-      }
-      ctx.stream = 0;
-      ctx.clock = tEnd;
-      ctx.next = nextFor(tEnd);
-      ctx.serialStart = tEnd;  // the join re-opens the main-stream serial segment
-    }
-
-    ctx.stack.swap(savedStack);
-    ++ctx.stackGen;
-    ctx.taskTag = savedTag;
-    ctx.stream = savedStream;
-    ctx.pending = savedPending;
-    ctx.pendingSrc = savedSrc;
-    ctx.pendingDst = savedDst;
-    ctx.bw = savedBw;
+    const bc::SpawnPlan& sp = compiled_.plans[bi.t1];
+    sem::ChunkPlan plan(lo, hi, extra, bi.sub == 1, opts_.numWorkers);
+    SourceLoc loc = irFn.instrs[bi.ir].loc;
+    spawn(
+        ctx, plan, bi.t0, bi.ir, sp.verdict.raceFree, loc,
+        [&](int64_t a, int64_t b) { callFunction(ctx, bi.t0, sem::taskArgs({a, b}, extra)); },
+        [&](uint64_t tag, uint64_t t0, std::vector<uint64_t>& workerEnd) {
+          if (!canParallelize(sp, plan.tasks, extra, ctx)) return false;
+          runParallel(ctx, bi.t0, loc, plan, extra, tag, t0, workerEnd);
+          return true;
+        });
   }
 
-  const ir::Module& m_;
-  RunOptions opts_;
   an::loc::Collector* obs_;  // rt::lint's access observer, or null
-  CostModel cost_;
   bc::CompiledModule compiled_;
-  Rng rng_;
-  RunResult result_;
-
   std::vector<Value> globals_;
   std::vector<Value> globalRefs_;  // pre-made makeRef(&globals_[g]) values
-  uint64_t threshold_;
-  bool hasSkid_;
-  uint64_t tagCounter_ = 0;
-  uint64_t idleSampleCounter_ = 0;
-  std::vector<uint64_t> lastBusyEnd_;
   std::unique_ptr<ThreadPool> pool_;
-
-  uint64_t nestedHandleC_ = 0, viewExtraC_ = 0, spawnPerTaskC_ = 0;
-  uint64_t arrayNewPerElemC_ = 0, arrayFillPerElemC_ = 0, arrayCopyPerElemC_ = 0;
-  uint64_t remoteGetC_ = 0, remotePutC_ = 0, onForkC_ = 0;
-  uint64_t aggFlushLatencyC_ = 0, aggPerElemC_ = 0, aggBufferCapC_ = 0;
-  uint64_t memBwRateC_ = 0, memCacheResC_ = 0;
-  BwLimits limits0_;
-  BwLimits limitsW_;
-  bool bwEnabled_ = false;
-
-  // Causal what-if state (interp.h: trackCausalSites / causalScale).
-  bool causalTrack_ = false;
-  bool causalScaleOn_ = false;
-  bool causalActive_ = false;
   bool specialFrames_ = false;  // causalActive_ or an observer: not the plain loop
-  uint32_t causalNum_ = 1;
-  uint32_t causalDen_ = 1;
-  std::unordered_set<uint64_t> causalScaleSites_;
-  /// Prefix sums of per-function instruction counts: the dense site index
-  /// of (fid, instr) is siteBase_[fid] + instr (built only under
-  /// trackCausalSites).
-  std::vector<uint32_t> siteBase_;
   /// Per-site static (icache-scaled) charge cost, indexed like the
   /// accumulator slots; seeds every accumulator so the dispatch loop's
   /// prologue charge is a bare count increment.
   std::vector<uint32_t> staticCost_;
-  /// One accumulator per stream (0 = main, 1..numWorkers = replay workers),
-  /// lazily slot-sized on each stream's first charge and reused across
-  /// regions. Safe under parallel replay: a stream never runs concurrently
-  /// with itself.
-  std::vector<CausalAccumulator> causalAcc_;
 };
 
 // ---------------------------------------------------------------------------
 // Parallel worker-stream replay.
 // ---------------------------------------------------------------------------
 
-void Engine::runParallel(Ctx& ctx, FuncId taskFn, const bc::BInstr& bi,
-                         const ir::Function& irFn,
-                         const std::vector<std::pair<int64_t, int64_t>>& chunks,
+void Engine::runParallel(Ctx& ctx, FuncId taskFn, SourceLoc loc, const sem::ChunkPlan& plan,
                          const std::vector<Value>& extra, uint64_t tag, uint64_t t0,
                          std::vector<uint64_t>& workerEnd) {
   uint32_t w = opts_.numWorkers;
-  struct TRec {
-    size_t sampleEnd = 0, outputEnd = 0, allocEnd = 0;
+  struct TRec {  // one chunk's artefacts: sink ends and counter deltas
+    size_t sampleEnd = 0, outputEnd = 0, allocEnd = 0, spanEnd = 0;
     uint64_t icountDelta = 0;
-    // Comm counters are commutative sums, so per-chunk deltas merged in
-    // canonical task order reproduce the sequential totals exactly. The
-    // same holds cell-wise for the locale-pair matrix.
-    uint64_t gets = 0, puts = 0, forks = 0;
-    uint64_t aggGets = 0, aggPuts = 0, aggFlushes = 0;
-    uint64_t memStall = 0, netStall = 0, contention = 0;
-    size_t spanEnd = 0;
-    std::vector<std::pair<uint64_t, uint64_t>> matrix;
+    sem::CommTally comm;
     std::vector<std::pair<uint32_t, uint64_t>> cycles;
   };
   struct StreamRes {
@@ -1388,13 +638,12 @@ void Engine::runParallel(Ctx& ctx, FuncId taskFn, const bc::BInstr& bi,
     std::vector<std::pair<uint64_t, uint64_t>> allocs;
     std::vector<TRec> recs;
     bool failed = false;
-    std::string errMsg;
-    SourceLoc errLoc;
+    sem::RunError err;
     uint64_t failTi = 0;
     uint64_t endClock = 0;
   };
   std::vector<StreamRes> streams(w + 1);
-  uint32_t usedStreams = static_cast<uint32_t>(std::min<size_t>(w, chunks.size()));
+  uint32_t usedStreams = static_cast<uint32_t>(std::min<uint64_t>(w, plan.tasks));
   uint64_t workerBudget = opts_.maxInstructions - *ctx.icount;
   size_t nf = m_.numFunctions();
 
@@ -1406,35 +655,19 @@ void Engine::runParallel(Ctx& ctx, FuncId taskFn, const bc::BInstr& bi,
       Ctx wc;
       wc.stream = ws;
       wc.taskTag = tag;
-      wc.clock = t0;
-      wc.next = nextFor(t0);
+      wc.pmu = sem::Pmu(threshold_, t0);
       uint64_t local = 0;
       wc.icount = &local;
       wc.maxInstr = workerBudget;
       wc.samples = &S.samples;
+      wc.spans = &S.spans;
       wc.output = &S.output;
       std::vector<uint64_t> cyc(nf, 0);
       wc.cycles = cyc.data();
       wc.allocVec = &S.allocs;
-      wc.echo = false;
       // The plan bails on OnBegin (in callees too), so the region's locale
-      // is constant: inherit it, with per-worker comm tallies.
+      // is constant: inherit it.
       wc.locale = ctx.locale;
-      uint64_t wGets = 0, wPuts = 0, wForks = 0;
-      uint64_t wAggGets = 0, wAggPuts = 0, wAggFlushes = 0;
-      uint64_t wMemStall = 0, wNetStall = 0, wContention = 0;
-      std::map<uint64_t, uint64_t> wMatrix;
-      wc.commGets = &wGets;
-      wc.commPuts = &wPuts;
-      wc.commOnForks = &wForks;
-      wc.commAggGets = &wAggGets;
-      wc.commAggPuts = &wAggPuts;
-      wc.commAggFlushes = &wAggFlushes;
-      wc.commMatrix = &wMatrix;
-      wc.commMemStall = &wMemStall;
-      wc.commNetStall = &wNetStall;
-      wc.commContention = &wContention;
-      wc.spans = &S.spans;
       if (causalTrack_) {
         wc.acc = &causalAcc_[ws];
         if (!wc.acc->ready()) wc.acc->init(siteBase_, staticCost_.data());
@@ -1448,20 +681,7 @@ void Engine::runParallel(Ctx& ctx, FuncId taskFn, const bc::BInstr& bi,
         r.spanEnd = S.spans.size();
         r.icountDelta = local - prevIc;
         prevIc = local;
-        r.gets = wGets;
-        r.puts = wPuts;
-        r.forks = wForks;
-        r.aggGets = wAggGets;
-        r.aggPuts = wAggPuts;
-        r.aggFlushes = wAggFlushes;
-        r.memStall = wMemStall;
-        r.netStall = wNetStall;
-        r.contention = wContention;
-        wGets = wPuts = wForks = 0;
-        wAggGets = wAggPuts = wAggFlushes = 0;
-        wMemStall = wNetStall = wContention = 0;
-        r.matrix.assign(wMatrix.begin(), wMatrix.end());
-        wMatrix.clear();
+        r.comm = std::exchange(wc.comm, {});
         for (size_t f = 0; f < nf; ++f)
           if (cyc[f]) {
             r.cycles.emplace_back(static_cast<uint32_t>(f), cyc[f]);
@@ -1469,33 +689,23 @@ void Engine::runParallel(Ctx& ctx, FuncId taskFn, const bc::BInstr& bi,
           }
         S.recs.push_back(std::move(r));
       };
-      for (uint64_t ti = ws - 1; ti < chunks.size(); ti += w) {
-        uint64_t chunkStart = wc.clock;
+      auto task = [&](int64_t a, int64_t b) {
+        callFunction(wc, taskFn, sem::taskArgs({a, b}, extra));
+      };
+      for (uint64_t ti = ws - 1; ti < plan.tasks; ti += w) {
         try {
-          std::vector<Value> args;
-          args.reserve(2 + extra.size());
-          args.push_back(Value::makeInt(chunks[ti].first));
-          args.push_back(Value::makeInt(chunks[ti].second));
-          for (const Value& v : extra) args.push_back(v);
-          wc.pending = sampling::AccessKind::None;
-          wc.pendingSrc = wc.pendingDst = 0;
-          wc.bw.reset(wc.clock, limitsW_);
-          callFunction(wc, taskFn, std::move(args));
-          flushSkid(wc);
-          pushSpan(wc, tag, static_cast<uint32_t>(ti), ws, chunkStart, wc.clock,
-                   /*takeSites=*/true);
-        } catch (const RunError& e) {
+          runChunk(wc, plan, ti, tag, true, task);
+        } catch (const sem::RunError& e) {
           S.failed = true;
-          S.errMsg = e.message;
-          S.errLoc = e.loc;
+          S.err = e;
           S.failTi = ti;
           snap();
-          S.endClock = wc.clock;
+          S.endClock = wc.pmu.clock;
           return;
         }
         snap();
       }
-      S.endClock = wc.clock;
+      S.endClock = wc.pmu.clock;
     });
   }
   pool_->wait();
@@ -1507,7 +717,7 @@ void Engine::runParallel(Ctx& ctx, FuncId taskFn, const bc::BInstr& bi,
     if (streams[ws].failed) minFail = std::min(minFail, streams[ws].failTi);
   std::vector<size_t> cursor(w + 1, 0), sStart(w + 1, 0), oStart(w + 1, 0), aStart(w + 1, 0),
       pStart(w + 1, 0);
-  for (uint64_t ti = 0; ti < chunks.size(); ++ti) {
+  for (uint64_t ti = 0; ti < plan.tasks; ++ti) {
     if (ti > minFail) break;
     uint32_t ws = 1 + static_cast<uint32_t>(ti % w);
     StreamRes& S = streams[ws];
@@ -1533,28 +743,16 @@ void Engine::runParallel(Ctx& ctx, FuncId taskFn, const bc::BInstr& bi,
     aStart[ws] = r.allocEnd;
     for (const auto& [f, cyc] : r.cycles) result_.cyclesPerFunction[f] += cyc;
     result_.instructionsExecuted += r.icountDelta;
-    result_.log.commGets += r.gets;
-    result_.log.commPuts += r.puts;
-    result_.log.commOnForks += r.forks;
-    result_.log.commAggGets += r.aggGets;
-    result_.log.commAggPuts += r.aggPuts;
-    result_.log.commAggFlushes += r.aggFlushes;
-    result_.log.commMemStallCycles += r.memStall;
-    result_.log.commNetStallCycles += r.netStall;
-    result_.log.commContentionCycles += r.contention;
-    for (const auto& [k, v] : r.matrix) result_.log.commMatrix[k] += v;
+    ctx.comm += r.comm;
   }
-  if (minFail != ~0ull) {
-    const StreamRes& S = streams[1 + static_cast<uint32_t>(minFail % w)];
-    throw RunError{S.errMsg, S.errLoc};
-  }
+  if (minFail != ~0ull) throw streams[1 + static_cast<uint32_t>(minFail % w)].err;
   // Documented deviation: with parallel streams the global instruction budget
   // is enforced after the region instead of at the exact crossing
   // instruction. canParallelize() requires 2^30 instructions of headroom, so
   // this path is unreachable unless a single region executes > 2^30
   // instructions; the error text matches the sequential engines.
   if (result_.instructionsExecuted > opts_.maxInstructions)
-    throw RunError{"instruction budget exceeded", irFn.instrs[bi.ir].loc};
+    fail("instruction budget exceeded", loc);
   for (uint32_t ws = 1; ws <= usedStreams; ++ws) workerEnd[ws] = streams[ws].endClock;
 }
 
@@ -1622,7 +820,7 @@ void Engine::execFrameT(Ctx& ctx, EFrame& fr, const bc::BFunc& bf, const ir::Fun
   auto chargePro = [&](uint32_t ir, uint64_t cost) __attribute__((always_inline)) {
     if constexpr (kCausal) {
       if (__builtin_expect(cscale, 0) &&
-          causalScaleSites_.count((static_cast<uint64_t>(fr.fid) << 32) | ir) != 0) {
+          causalScaleSites_.count(sampling::RunLog::siteKey(fr.fid, ir)) != 0) {
         cost = causalScaledCost(cost, causalNum_, causalDen_);
         if (cslots != nullptr && cost != 0)
           ctx.acc->charge(siteBase_[fr.fid] + ir, cost);
@@ -1631,8 +829,8 @@ void Engine::execFrameT(Ctx& ctx, EFrame& fr, const bc::BFunc& bf, const ir::Fun
       }
     }
     ctx.cycles[ctx.curFid] += cost;
-    ctx.clock += cost;
-    if (__builtin_expect(ctx.clock >= ctx.next, 0)) overflow(ctx);
+    ctx.pmu.clock += cost;
+    if (__builtin_expect(ctx.pmu.clock >= ctx.pmu.next, 0)) overflow(ctx);
   };
 
 #if CB_EXEC_CGOTO
@@ -1654,10 +852,10 @@ void Engine::execFrameT(Ctx& ctx, EFrame& fr, const bc::BFunc& bf, const ir::Fun
     const bc::BInstr& bi = code[pc];
     // Per-instruction prologue: instruction count + budget, skid aging, the
     // icache-scaled static charge. Identical to the tree-walker's.
-    fr.curIr = bi.ir;
+    fr.ir = bi.ir;
     if (__builtin_expect(++*ctx.icount > ctx.maxInstr, 0))
       fail("instruction budget exceeded", irFn.instrs[bi.ir].loc);
-    if (__builtin_expect(hasSkid_, 0)) tickSkid(ctx);
+    if (__builtin_expect(skid_ != 0, 0)) tickSkid(ctx);
     chargePro(bi.ir, bi.cost);
 
 #if CB_EXEC_CGOTO
@@ -1684,7 +882,7 @@ void Engine::execFrameT(Ctx& ctx, EFrame& fr, const bc::BFunc& bf, const ir::Fun
         if (a.kind != VKind::Ref) fail("expected an address value", irFn.instrs[bi.ir].loc);
         Value* p = a.ref;
         if ((bi.flags & bc::kNestedHandle) && p->kind == VKind::Array)
-          charge(ctx, nestedHandleC_);
+          charge(ctx, prof().nestedArrayHandle);
         copyInto(fr.regs[bi.dst], *p);
         CB_NEXT;
       }
@@ -1749,7 +947,7 @@ void Engine::execFrameT(Ctx& ctx, EFrame& fr, const bc::BFunc& bf, const ir::Fun
       }
       CB_OP(RecordNew) : {
         charge(ctx, bi.imm);
-        fr.regs[bi.dst] = defaultValue(ctx, bi.t0);
+        fr.regs[bi.dst] = defaultValue(ctx, bi.t0, thunk(ctx), allocHook());
         CB_NEXT;
       }
       CB_OP(DomainMake) : {
@@ -1791,7 +989,7 @@ void Engine::execFrameT(Ctx& ctx, EFrame& fr, const bc::BFunc& bf, const ir::Fun
       CB_OP(ArrayNew) : {
         const Value& d = rd(ctx, fr, bi.a);
         if (d.kind != VKind::Domain) fail("array over a non-domain", irFn.instrs[bi.ir].loc);
-        fr.regs[bi.dst] = makeArray(ctx, d.dom, bi.t0, fr.fid, bi.ir);
+        fr.regs[bi.dst] = makeArray(ctx, d.dom, bi.t0, fr.fid, bi.ir, thunk(ctx), allocHook());
         CB_NEXT;
       }
       CB_OP(ArrayView) : {
@@ -1839,30 +1037,30 @@ void Engine::execFrameT(Ctx& ctx, EFrame& fr, const bc::BFunc& bf, const ir::Fun
       CB_OP(CmpBr) : {
         bool cond = evalBoolBin(ctx, fr, bi, irFn);
         // Second component's prologue (the fused CondBr).
-        fr.curIr = bi.ir2;
+        fr.ir = bi.ir2;
         if (__builtin_expect(++*ctx.icount > ctx.maxInstr, 0))
           fail("instruction budget exceeded", irFn.instrs[bi.ir2].loc);
-        if (__builtin_expect(hasSkid_, 0)) tickSkid(ctx);
+        if (__builtin_expect(skid_ != 0, 0)) tickSkid(ctx);
         chargePro(bi.ir2, bi.cost2);
         pc = cond ? bi.t0 : bi.t1;
         continue;
       }
       CB_OP(IndexLoad) : {
         Value* p = indexAddr<kObserve>(ctx, fr, bi, ops, irFn.instrs[bi.ir].loc);
-        fr.curIr = bi.ir2;
+        fr.ir = bi.ir2;
         if (__builtin_expect(++*ctx.icount > ctx.maxInstr, 0))
           fail("instruction budget exceeded", irFn.instrs[bi.ir2].loc);
-        if (__builtin_expect(hasSkid_, 0)) tickSkid(ctx);
+        if (__builtin_expect(skid_ != 0, 0)) tickSkid(ctx);
         chargePro(bi.ir2, bi.cost2);
         copyInto(fr.regs[bi.dst2], *p);
         CB_NEXT;
       }
       CB_OP(IndexStore) : {
         Value* p = indexAddr<kObserve>(ctx, fr, bi, ops, irFn.instrs[bi.ir].loc);
-        fr.curIr = bi.ir2;
+        fr.ir = bi.ir2;
         if (__builtin_expect(++*ctx.icount > ctx.maxInstr, 0))
           fail("instruction budget exceeded", irFn.instrs[bi.ir2].loc);
-        if (__builtin_expect(hasSkid_, 0)) tickSkid(ctx);
+        if (__builtin_expect(skid_ != 0, 0)) tickSkid(ctx);
         chargePro(bi.ir2, bi.cost2);
         copyInto(*p, rd(ctx, fr, bi.a));
         CB_NEXT;
@@ -1871,10 +1069,10 @@ void Engine::execFrameT(Ctx& ctx, EFrame& fr, const bc::BFunc& bf, const ir::Fun
         // The arithmetic lands directly in the slot; operand reads complete
         // before the write, and the (single-use) Bin register is never read.
         evalBinInto(ctx, fr, bi, irFn, fr.slots[bi.dst2]);
-        fr.curIr = bi.ir2;
+        fr.ir = bi.ir2;
         if (__builtin_expect(++*ctx.icount > ctx.maxInstr, 0))
           fail("instruction budget exceeded", irFn.instrs[bi.ir2].loc);
-        if (__builtin_expect(hasSkid_, 0)) tickSkid(ctx);
+        if (__builtin_expect(skid_ != 0, 0)) tickSkid(ctx);
         chargePro(bi.ir2, bi.cost2);
         CB_NEXT;
       }
@@ -1883,10 +1081,10 @@ void Engine::execFrameT(Ctx& ctx, EFrame& fr, const bc::BFunc& bf, const ir::Fun
         // the load's register is elided (single-use, never re-read). Part 2
         // is the fused TupleGet.
         const Value& t = fr.slots[bi.t0];
-        fr.curIr = bi.ir2;
+        fr.ir = bi.ir2;
         if (__builtin_expect(++*ctx.icount > ctx.maxInstr, 0))
           fail("instruction budget exceeded", irFn.instrs[bi.ir2].loc);
-        if (__builtin_expect(hasSkid_, 0)) tickSkid(ctx);
+        if (__builtin_expect(skid_ != 0, 0)) tickSkid(ctx);
         chargePro(bi.ir2, bi.cost2);
         if (t.kind != VKind::Tuple && t.kind != VKind::Record)
           fail("tuple access on non-tuple", irFn.instrs[bi.ir2].loc);
@@ -1908,10 +1106,10 @@ void Engine::execFrameT(Ctx& ctx, EFrame& fr, const bc::BFunc& bf, const ir::Fun
         if (idx >= tup->elems.size())
           fail("tuple index out of range", irFn.instrs[bi.ir].loc);
         Value* p = &tup->elems[idx];
-        fr.curIr = bi.ir2;
+        fr.ir = bi.ir2;
         if (__builtin_expect(++*ctx.icount > ctx.maxInstr, 0))
           fail("instruction budget exceeded", irFn.instrs[bi.ir2].loc);
-        if (__builtin_expect(hasSkid_, 0)) tickSkid(ctx);
+        if (__builtin_expect(skid_ != 0, 0)) tickSkid(ctx);
         chargePro(bi.ir2, bi.cost2);
         copyInto(fr.regs[bi.dst2], *p);
         CB_NEXT;

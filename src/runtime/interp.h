@@ -56,9 +56,11 @@ struct RunOptions {
   /// Engine selection. The default engine pre-compiles each function to a
   /// flat bytecode with pre-decoded operands and fused superinstructions
   /// (src/runtime/bytecode.h, src/runtime/exec.cpp). Setting this flag runs
-  /// the original tree-walking CIR interpreter instead — kept as the
-  /// correctness oracle, mirroring BlameOptions::referenceFixpoint. Both
-  /// engines produce bit-identical RunLogs.
+  /// the tree-walking CIR interpreter instead — kept as the oracle for that
+  /// lowering, fusion, operand decoding and the parallel-replay merge,
+  /// mirroring BlameOptions::referenceFixpoint. Both engines apply the same
+  /// measurement rules (src/runtime/semantics.h) and produce bit-identical
+  /// RunLogs.
   bool referenceInterp = false;
   /// OS threads used for deterministic parallel replay of worker streams in
   /// the bytecode engine. 0 = auto (min(numWorkers, hardware)); 1 = fully

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "ir/verifier.h"
+#include "runtime/semantics.h"
 
 namespace cb::rt {
 
@@ -18,6 +19,10 @@ an::loc::LintReport lint(const ir::Module& m, RunOptions opts) {
   // The engine trusts verified IR; a parser-recovered module may not be.
   if (std::vector<std::string> errs = ir::verifyModule(m); !errs.empty()) {
     out.error = errs.front();
+  } else if (std::string bad = sem::configError(m, opts); !bad.empty()) {
+    // A malformed --config value is a usage error, not a finding: no report.
+    out.ok = false;
+    out.error = bad;
   } else {
     RunResult r = execute(m, opts, &collector);
     out.steps = r.instructionsExecuted;

@@ -17,7 +17,9 @@ namespace cb::rt {
 /// sequentially). Never throws on a malformed module: IR that fails
 /// verification is not executed, and a runtime error stops the run softly —
 /// either way the report keeps what was gathered and says why in `error`.
-/// Exhausting RunOptions::maxInstructions sets `truncated` instead.
+/// Exhausting RunOptions::maxInstructions sets `truncated` instead. A
+/// --config override that does not parse as its config's type is not run at
+/// all: `ok` is false and `error` names the config.
 an::loc::LintReport lint(const ir::Module& m, RunOptions opts = {});
 
 }  // namespace cb::rt

@@ -202,39 +202,4 @@ bool identical(const RunLog& a, const RunLog& b);
 /// divergence (for test diagnostics); empty when the logs match.
 std::string firstDifference(const RunLog& a, const RunLog& b);
 
-/// Event-overflow virtual PMU: one counter per execution stream. `advance`
-/// returns the number of overflows that occurred while charging `cost`
-/// cycles (normally 0 or 1; large single costs can trigger several).
-class VirtualPmu {
- public:
-  VirtualPmu(uint64_t threshold, uint32_t numStreams)
-      : threshold_(threshold), next_(numStreams, threshold), clock_(numStreams, 0) {
-    // A threshold of 0 disables sampling.
-    if (threshold_ == 0)
-      for (auto& n : next_) n = ~0ull;
-  }
-
-  uint32_t advance(uint32_t stream, uint64_t cost) {
-    clock_[stream] += cost;
-    uint32_t overflows = 0;
-    while (clock_[stream] >= next_[stream]) {
-      next_[stream] += threshold_ == 0 ? ~0ull : threshold_;
-      ++overflows;
-    }
-    return overflows;
-  }
-
-  uint64_t clock(uint32_t stream) const { return clock_[stream]; }
-  void setClock(uint32_t stream, uint64_t t) {
-    clock_[stream] = t;
-    if (threshold_ != 0) next_[stream] = ((t / threshold_) + 1) * threshold_;
-  }
-  uint64_t threshold() const { return threshold_; }
-
- private:
-  uint64_t threshold_;
-  std::vector<uint64_t> next_;
-  std::vector<uint64_t> clock_;
-};
-
 }  // namespace cb::sampling

@@ -33,7 +33,8 @@ std::string usageText() {
       "  --threshold N         PMU overflow threshold (virtual cycles)\n"
       "  --workers N           worker streams (1..65536, default 12)\n"
       "  --pm-workers N        post-mortem worker threads (0 = hardware, 1 = sequential)\n"
-      "  --config K=V          override a config const (repeatable)\n"
+      "  --config K=V          override a config const (repeatable); V must parse\n"
+      "                        as the config's type, unknown names are ignored\n"
       "  --view V              data|code|pprof|hybrid|gui|baseline|csv|comm|commmatrix|locale\n"
       "                        (default data; locale requires --locales N)\n"
       "  --skid N              simulate PMU skid of N instructions\n"
@@ -223,7 +224,9 @@ JobResult runJobInner(const std::vector<std::string>& args, const JobContext& ct
     profiler.options().run.numLocales = lintLocales;
     bool ok = lintWithRun ? profiler.profileFile(path) : profiler.compileFile(path);
     if (!ok) return fail(profiler.lastError());
-    out << profiler.lintText();
+    an::loc::LintReport lint = profiler.lintReport();
+    if (!lint.ok) return fail(lint.error);
+    out << profiler.lintText(lint);
     return finish(0);
   }
 

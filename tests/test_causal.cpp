@@ -197,6 +197,39 @@ TEST_P(CausalSpans, TimelineInvariantAcrossEnginesAndReplayWidths) {
 
 INSTANTIATE_TEST_SUITE_P(Corpus, CausalSpans, ::testing::ValuesIn(kCorpus));
 
+// A nested forall's spans carry no site split: their cycles accrue to the
+// enclosing top-level chunk, whose split still covers its whole duration.
+TEST(CausalNestedSpans, NestedSpansKeepNoSitesAndChunksCoverThem) {
+  auto c = test::compile(R"(
+    const D = {0..#8};
+    var A: [D] int;
+    proc main() {
+      coforall t in 0..#2 {
+        forall i in 0..#4 { A[t * 4 + i] = t + i; }
+      }
+    }
+  )");
+  for (bool reference : {false, true}) {
+    rt::RunOptions o;
+    o.trackCausalSites = true;
+    o.referenceInterp = reference;
+    rt::RunResult r = rt::execute(c->module(), o);
+    ASSERT_TRUE(r.ok) << r.error;
+    size_t nested = 0;
+    for (const sampling::TaskSpan& sp : r.log.taskSpans) {
+      if (sp.tag != 0 && r.log.spawns.at(sp.tag).parentTag != 0) {
+        ++nested;
+        EXPECT_TRUE(sp.sites.empty()) << "nested span " << sp.tag << "/" << sp.chunk;
+        continue;
+      }
+      uint64_t raw = 0;
+      for (const sampling::SiteCycles& sc : sp.sites) raw += sc.raw;
+      EXPECT_EQ(raw, sp.duration()) << "span " << sp.tag << "/" << sp.chunk;
+    }
+    EXPECT_EQ(nested, 8u);  // 2 coforall tasks x 4 one-iteration chunks
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Critical-path and prediction properties.
 // ---------------------------------------------------------------------------

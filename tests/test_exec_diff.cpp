@@ -53,8 +53,9 @@ std::vector<ModeResult> runAllModes(const ir::Module& m, rt::RunOptions base) {
   return out;
 }
 
-void expectAllModesAgree(const ir::Module& m, rt::RunOptions base,
-                         const std::string& what) {
+/// Returns the reference run, for callers that check what it produced.
+rt::RunResult expectAllModesAgree(const ir::Module& m, rt::RunOptions base,
+                                  const std::string& what) {
   std::vector<ModeResult> rs = runAllModes(m, base);
   const rt::RunResult& ref = rs[0].r;
   for (size_t i = 1; i < rs.size(); ++i) {
@@ -69,13 +70,15 @@ void expectAllModesAgree(const ir::Module& m, rt::RunOptions base,
     EXPECT_EQ(r.output, ref.output);
     EXPECT_EQ(r.cyclesPerFunction, ref.cyclesPerFunction);
   }
+  return std::move(rs[0].r);
 }
 
-void expectSourceAgrees(const std::string& src, rt::RunOptions base,
-                        const std::string& what) {
+rt::RunResult expectSourceAgrees(const std::string& src, rt::RunOptions base,
+                                 const std::string& what) {
   auto c = fe::Compilation::fromString("diff.chpl", src, {});
-  ASSERT_TRUE(c->ok()) << what << "\n" << c->diags().renderAll() << src;
-  expectAllModesAgree(c->module(), base, what);
+  EXPECT_TRUE(c->ok()) << what << "\n" << c->diags().renderAll() << src;
+  if (!c->ok()) return {};
+  return expectAllModesAgree(c->module(), base, what);
 }
 
 // ---------------------------------------------------------------------------
@@ -216,6 +219,90 @@ TEST(PropertyExecErrors, InstructionBudgetExhaustion) {
   rt::RunOptions base;
   base.maxInstructions = 5000;  // trips mid-loop, outside any spawn
   expectSourceAgrees(src, base, "budget exhaustion");
+}
+
+// Spawn ranges at the edges of the int range. The chunk plan counts trips
+// in unsigned arithmetic (the full range has 2^64 iterations) and a spawn
+// with more iterations than the instruction budget has left fails before
+// planning any task, so each form fails with the budget message on every
+// engine: none runs zero iterations, and none allocates a chunk list
+// without bound.
+void runSpawnRange(const std::string& loop) {
+  const std::string src = R"(
+    const D = {0..#4};
+    var A: [D] int;
+    proc main() {
+      )" + loop + R"( { A[1] = 1; }
+      writeln(A[1]);
+    }
+  )";
+  rt::RunOptions base;
+  base.maxInstructions = 100000;
+  rt::RunResult r = expectSourceAgrees(src, base, loop);
+  EXPECT_FALSE(r.ok) << loop;
+  EXPECT_NE(r.error.find("instruction budget exceeded"), std::string::npos) << r.error;
+  EXPECT_LT(r.instructionsExecuted, 1000u) << loop;  // refused at the spawn itself
+}
+
+TEST(PropertyExecErrors, FullIntRangeForallDoesNotWrapToZeroTrips) {
+  runSpawnRange("forall i in (0 - 9223372036854775807)..9223372036854775807");
+}
+
+TEST(PropertyExecErrors, NearMaxForallFailsInsteadOfAllocating) {
+  runSpawnRange("forall i in 0..9223372036854775806");
+}
+
+TEST(PropertyExecErrors, CoforallBeyondBudgetFailsBeforePlanning) {
+  runSpawnRange("coforall i in 1..100000000000");
+}
+
+// int arithmetic wraps at the edges of int on every engine instead of
+// overflowing (undefined behaviour in the host) or trapping: min / -1 and
+// min % -1 used to kill the process with SIGFPE.
+TEST(PropertyExecErrors, IntEdgeArithmeticWrapsInsteadOfTrapping) {
+  const std::string src = R"(
+    proc main() {
+      var mx = 9223372036854775807;
+      var mn = 0 - mx - 1;
+      var m1 = 0 - 1;
+      writeln(mx + 1, mx * 2, mn / m1, mn % m1, 0 - mn, -mn, abs(mn));
+    }
+  )";
+  rt::RunResult r = expectSourceAgrees(src, {}, "int edges");
+  EXPECT_TRUE(r.ok) << r.error;
+  const std::string mn = "-9223372036854775808";
+  EXPECT_EQ(r.output, mn + " -2 " + mn + " 0 " + mn + " " + mn + " " + mn + "\n");
+}
+
+// --config values parse strictly as the config's type on every engine: a
+// malformed one fails the run at the config, naming it and the text;
+// unknown names are ignored.
+TEST(PropertyExecErrors, MalformedConfigValueFailsAtTheConfig) {
+  const std::string src = R"(
+    config const n = 3;
+    config const x = 1.5;
+    config const b = false;
+    proc main() { writeln(n, x, b); }
+  )";
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"n", "abc"}, {"n", "2x"},   {"n", ""},    {"n", "1.5"},  {"n", "+-2"},
+      {"n", "99999999999999999999"}, {"x", "1.5.2"}, {"x", "e"}, {"b", "ture"},
+      {"b", "TRUE"}, {"b", "2"},
+  };
+  for (const auto& [name, text] : bad) {
+    rt::RunOptions o;
+    o.configOverrides = {{name, text}};
+    rt::RunResult r = expectSourceAgrees(src, o, name + "=" + text);
+    EXPECT_FALSE(r.ok) << name << "=" << text;
+    EXPECT_NE(r.error.find("config '" + name + "': expected "), std::string::npos) << r.error;
+    EXPECT_NE(r.error.find("got '" + text + "'"), std::string::npos) << r.error;
+    EXPECT_NE(r.error.find("diff.chpl:"), std::string::npos) << r.error;
+  }
+  rt::RunOptions o;
+  o.configOverrides = {{"n", "+7"}, {"x", "-2.5e1"}, {"b", "1"}, {"hereId", "3"}};
+  rt::RunResult r = expectSourceAgrees(src, o, "well-formed configs");
+  EXPECT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.output, "7 -25 true\n");
 }
 
 // A run with no worker streams is refused up front by both engines (it used
@@ -624,6 +711,17 @@ TEST(PropertyBandwidthCounters, MemStallFiresOnlyPastCacheResidency) {
   rt::RunResult nested = runCeiling("clomp", /*ceiling=*/true, 12, cfg);
   EXPECT_GT(flat.log.commMemStallCycles, 0u);
   EXPECT_EQ(nested.log.commMemStallCycles, 0u);
+  // Every counted stall cycle is also charged: busy cycles exceed the
+  // latency-only run's by exactly the stall counters.
+  rt::RunResult plain = runCeiling("clomp_opt", /*ceiling=*/false, 12, cfg);
+  auto busy = [](const rt::RunResult& r) {
+    uint64_t sum = 0;
+    for (uint64_t c : r.cyclesPerFunction) sum += c;
+    return sum;
+  };
+  EXPECT_EQ(busy(flat) - busy(plain), flat.log.commMemStallCycles +
+                                          flat.log.commNetStallCycles +
+                                          flat.log.commContentionCycles);
 }
 
 }  // namespace

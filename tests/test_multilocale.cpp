@@ -383,6 +383,31 @@ TEST(CommMatrixLog, AggregationMovesTheSameElements) {
   EXPECT_EQ(agg.log.commMatrix, naive.log.commMatrix);
 }
 
+// One task copies 130 remote elements through one source aggregator: two
+// buffers flush full at aggBufferCap (64) and the close drains the last 2.
+TEST(CommMatrixAggregation, BuffersFlushAtCapacityAndDrainAtClose) {
+  auto c = test::compile(R"(
+    const D = {0..#260} dmapped Block;
+    var A: [D] int;
+    var got: [{0..#130}] int;
+    proc main() {
+      forall k in 0..#130 with (var ga = new SrcAggregator(int)) {
+        ga.copy(got[k], A[130 + k]);
+      }
+    }
+  )");
+  for (bool reference : {false, true}) {
+    rt::RunOptions o;
+    o.numLocales = 2;
+    o.numWorkers = 1;  // one task, one aggregator
+    o.referenceInterp = reference;
+    rt::RunResult r = rt::execute(c->module(), o);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.log.commAggGets, 130u);
+    EXPECT_EQ(r.log.commAggFlushes, 3u);
+  }
+}
+
 TEST(CommMatrixAggregation, AggregationBeatsNaiveThreefold) {
   // The conveyors/bale headline on the index-gather pair: batching the
   // fine-grained remote traffic wins >= 3x in total virtual time, under

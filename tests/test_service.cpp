@@ -146,6 +146,26 @@ TEST(ServiceJob, MalformedNumericFlagsExitTwoNamingTheFlag) {
   }
 }
 
+// A --config value that does not parse as its config's type fails the job
+// (exit 1) naming the config — locally on both engines, in lint and in
+// multi-locale mode — while a well-formed value still runs.
+TEST(ServiceJob, MalformedConfigValueExitsOneNamingTheConfig) {
+  for (const char* mode : {"", "--reference-interp", "--lint", "--locales=2"}) {
+    std::vector<std::string> argv = {"minimd", "--config", "numSteps=abc"};
+    if (std::string(mode) == "--locales=2") {
+      argv.insert(argv.end(), {"--locales", "2"});
+    } else if (*mode) {
+      argv.push_back(mode);
+    }
+    svc::JobResult r = svc::runJob(argv);
+    EXPECT_EQ(r.exitCode, 1) << mode << ": " << r.err;
+    EXPECT_NE(r.err.find("config 'numSteps': expected an int, got 'abc'"), std::string::npos)
+        << mode << ": " << r.err;
+  }
+  svc::JobResult ok = svc::runJob({"minimd", "--config", "numSteps=2", "--lint"});
+  EXPECT_EQ(ok.exitCode, 0) << ok.err;
+}
+
 TEST(ServiceJob, MissingProgramFails) {
   svc::JobResult r = svc::runJob({"/no/such/program.chpl"});
   EXPECT_NE(r.exitCode, 0);
@@ -268,6 +288,7 @@ TEST(ServiceDaemon, ServedJobBitIdenticalToLocal) {
       {"minimd", "--view", "data"},       {"ig_naive", "--lint"},
       {"minimd_badloc", "--lint"},        {"lulesh", "--workers", "0"},
       {"lulesh", "--workers", "abc"},     {"lulesh", "--workers", "4294967296"},
+      {"minimd", "--config", "numSteps=abc"},
   };
   for (const std::vector<std::string>& argv : jobs) {
     SCOPED_TRACE(argv[0] + " " + argv[1]);
