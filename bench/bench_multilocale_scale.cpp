@@ -1,10 +1,11 @@
 // Multi-locale PGAS simulation scaling: profileMultiLocale at 1/2/4/8
 // locales on the MiniMD distribution variants and CLOMP, reporting (a) the
 // comm mix of the aggregated blame (remote share of blamed samples — the
-// distribution-mismatch signal), and (b) the wall-clock speedup of the
-// locale ThreadPool over the sequential locale loop, verified bit-identical
-// before any time is reported. The final section is the PR acceptance pair:
-// LULESH at 8 locales, 4 pool workers vs sequential.
+// distribution-mismatch signal), and (b) the wall-clock speedup of locale
+// pipelines as scheduler tasks (at most 4 at once) over the sequential
+// locale loop, verified bit-identical before any time is reported. The
+// final section is the acceptance pair: LULESH at 8 locales, 4 locale
+// tasks at once vs sequential.
 #include <chrono>
 
 #include "bench_common.h"
@@ -48,7 +49,7 @@ double remoteShare(const cb::pm::BlameReport& rep) {
 void benchProgram(const char* name) {
   std::printf("\n%s:\n", name);
   std::printf("  %-8s %10s %12s %12s %9s %9s\n", "locales", "samples", "seq (ms)",
-              "pool4 (ms)", "speedup", "remote%");
+              "tasks4 (ms)", "speedup", "remote%");
   for (uint32_t locales : {1u, 2u, 4u, 8u}) {
     TimedRun seq = timeMultiLocale(name, locales, /*workers=*/1);
     TimedRun par = timeMultiLocale(name, locales, /*workers=*/4);
@@ -65,19 +66,19 @@ void benchProgram(const char* name) {
 
 int main() {
   cb::bench::printHeader(
-      "Multi-locale scaling: per-locale SPMD pipelines on a locale ThreadPool\n"
-      "(every pooled run is verified bit-identical to the sequential locale\n"
+      "Multi-locale scaling: per-locale SPMD pipelines as scheduler tasks\n"
+      "(every 4-wide run is verified bit-identical to the sequential locale\n"
       "loop — aggregate and per-locale reports — before its time is printed)");
   benchProgram("minimd_badloc");
   benchProgram("minimd_blockloc");
   benchProgram("clomp");
 
-  // PR acceptance pair: 8-locale LULESH, 4 pool workers vs sequential.
+  // Acceptance pair: 8-locale LULESH, 4 locale tasks at once vs sequential.
   std::printf("\nlulesh acceptance pair (8 locales):\n");
   TimedRun seq = timeMultiLocale("lulesh", 8, /*workers=*/1);
   TimedRun par = timeMultiLocale("lulesh", 8, /*workers=*/4);
   bool identical = par.r.aggregate == seq.r.aggregate && par.r.perLocale == seq.r.perLocale;
-  std::printf("  sequential %.1f ms, pool(4) %.1f ms -> %.2fx%s (target >= 3x)\n", seq.ms,
+  std::printf("  sequential %.1f ms, tasks(4) %.1f ms -> %.2fx%s (target >= 3x)\n", seq.ms,
               par.ms, seq.ms / par.ms, identical ? "" : "  ** MISMATCH **");
   if (!identical) std::exit(1);
   return 0;

@@ -1,11 +1,15 @@
 // Speedup of the parallel sharded post-mortem pipeline (consolidation +
-// blame attribution + deterministic merge) over the sequential path, at
-// 1/2/4/8 workers, on the LULESH and MiniMD assets. The sample logs are
-// produced once per program at a low PMU threshold so step 3 has a
+// blame attribution + deterministic merge, shards as scheduler tasks) over
+// the sequential path, at 2/4/8 workers with explicit shard counts, on the
+// LULESH and MiniMD assets, plus the auto setting the CLI uses. The sample
+// logs are produced once per program at a low PMU threshold so step 3 has a
 // paper-scale sample volume to chew on; every parallel run is checked
-// bit-identical to the sequential report before its time is reported.
+// bit-identical to the sequential report before its time is reported. The
+// gate sweep times sequential against 4-wide sharding across log sizes:
+// the data behind pm::kMinShardSamples.
 #include <chrono>
 #include <random>
+#include <string>
 
 #include "bench_common.h"
 #include "postmortem/attribution.h"
@@ -31,9 +35,10 @@ void benchProgram(const char* name, uint64_t threshold) {
               log.numUserSamples(), log.spawns.size());
   std::printf("  %-28s %12s %10s\n", "configuration", "time (ms)", "speedup");
 
-  auto timePostmortem = [&](uint32_t workers) {
+  auto timePostmortem = [&](uint32_t workers, uint32_t shards) {
     cb::pm::ParallelOptions popts;
     popts.workers = workers;
+    popts.shards = shards;
     // Warm-up + best-of-3: post-mortem time, not first-touch page faults.
     double best = 1e300;
     cb::pm::PostmortemResult r;
@@ -46,17 +51,49 @@ void benchProgram(const char* name, uint64_t threshold) {
     return std::pair<double, cb::pm::PostmortemResult>(best, std::move(r));
   };
 
-  auto [seqMs, seqResult] = timePostmortem(1);
+  auto [seqMs, seqResult] = timePostmortem(1, 0);
   std::printf("  %-28s %12.2f %9.2fx\n", "sequential (workers=1)", seqMs, 1.0);
-  for (uint32_t workers : {2u, 4u, 8u}) {
-    auto [ms, result] = timePostmortem(workers);
-    bool identical =
-        result.report == seqResult.report && result.instances == seqResult.instances;
-    std::printf("  workers=%-2u shards=%-12u %12.2f %9.2fx%s\n", workers,
-                workers * cb::pm::kShardsPerWorker, ms, seqMs / ms,
+  auto report = [&](const std::string& label, double ms, const cb::pm::PostmortemResult& r) {
+    bool identical = r.report == seqResult.report && r.instances == seqResult.instances;
+    std::printf("  %-28s %12.2f %9.2fx%s\n", label.c_str(), ms, seqMs / ms,
                 identical ? "" : "  ** MISMATCH **");
     if (!identical) std::exit(1);
+  };
+  for (uint32_t workers : {2u, 4u, 8u}) {
+    uint32_t shards = workers * cb::pm::kShardsPerWorker;
+    auto [ms, result] = timePostmortem(workers, shards);
+    report("workers=" + std::to_string(workers) + " shards=" + std::to_string(shards), ms,
+           result);
   }
+  auto [autoMs, autoResult] = timePostmortem(0, 0);
+  report(log.samples.size() < cb::pm::kMinShardSamples ? "auto (sequential: gate)"
+                                                        : "auto (sharded)",
+         autoMs, autoResult);
+}
+
+// The shard gate's data: sequential vs 4 workers × 16 explicit shards on
+// logs of growing size (one program run per PMU threshold).
+void benchShardGate() {
+  std::printf("\nshard gate sweep (auto shards from %zu samples):\n", cb::pm::kMinShardSamples);
+  std::printf("  %-10s %10s %12s %12s %9s\n", "program", "samples", "seq (ms)", "shard4 (ms)",
+              "speedup");
+  for (const char* name : {"minimd", "lulesh"})
+    for (uint64_t threshold : {400000ull, 100000ull, 30000ull, 9973ull, 3000ull}) {
+      cb::Profiler p = cb::bench::profileAsset(name, /*fast=*/false, threshold);
+      const cb::sampling::RunLog& log = p.runResult()->log;
+      double best[2] = {1e300, 1e300};
+      for (int rep = 0; rep < 5; ++rep)
+        for (int sharded = 0; sharded < 2; ++sharded) {
+          cb::pm::ParallelOptions popts;
+          popts.workers = sharded ? 4 : 1;
+          popts.shards = sharded ? 16 : 0;
+          auto t0 = Clock::now();
+          cb::pm::runPostmortem(p.compilation()->module(), p.moduleBlame(), log, {}, {}, popts);
+          best[sharded] = std::min(best[sharded], millis(t0, Clock::now()));
+        }
+      std::printf("  %-10s %10zu %12.3f %12.3f %8.2fx\n", name, log.samples.size(), best[0],
+                  best[1], best[0] / best[1]);
+    }
 }
 
 // Micro-perf of the shared reduction kernel behind both the multi-locale
@@ -123,11 +160,13 @@ void benchAggregation() {
 int main() {
   printHeader(
       "Parallel sharded post-mortem: speedup over the sequential path\n"
-      "(shard by stream/taskTag -> per-shard attribute -> deterministic merge;\n"
+      "(shard by stream/taskTag -> per-shard attribute as scheduler tasks ->\n"
+      "deterministic merge;\n"
       "every row is verified bit-identical to workers=1 before timing counts)");
   std::printf("hardware concurrency: %u\n", cb::ThreadPool::defaultConcurrency());
   benchProgram("lulesh", 211);
   benchProgram("minimd", 211);
+  benchShardGate();
   benchAggregation();
   return 0;
 }

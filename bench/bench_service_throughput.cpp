@@ -44,6 +44,14 @@ double peakRssMb() {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;
 }
 
+/// User + system CPU time of the whole process (every thread), in ms.
+double processCpuMs() {
+  struct rusage ru {};
+  getrusage(RUSAGE_SELF, &ru);
+  auto ms = [](const timeval& t) { return t.tv_sec * 1000.0 + t.tv_usec / 1000.0; };
+  return ms(ru.ru_utime) + ms(ru.ru_stime);
+}
+
 // Analysis-heavy synthetic program: a deep caller-before-callee chain with
 // dense intra-function def-use edges, the worst case for the blame fixpoint
 // (same generator family as bench_analysis_scale), with a trivial main so
@@ -191,6 +199,7 @@ int main() {
     uint32_t width;
     uint32_t requests;
     double ms;
+    double cpuMs;  // process CPU over the round: daemon, clients, scheduler
     bool identical;
   };
   std::vector<SoakRow> soak;
@@ -211,6 +220,7 @@ int main() {
     std::vector<std::thread> clients;
     std::vector<bool> match(requests, false);
     t0 = Clock::now();
+    double cpu0 = processCpuMs();
     for (uint32_t i = 0; i < requests; ++i)
       clients.emplace_back([&, i] {
         const auto& argv = jobs[i % jobs.size()];
@@ -221,11 +231,12 @@ int main() {
       });
     for (auto& t : clients) t.join();
     double ms = msSince(t0);
+    double cpuMs = processCpuMs() - cpu0;
     server.stop();
     bool all = true;
     for (bool b : match) all = all && b;
     servedIdentical = servedIdentical && all;
-    soak.push_back({width, requests, ms, all});
+    soak.push_back({width, requests, ms, cpuMs, all});
   }
 
   // -------------------------------------------------------------------
@@ -246,9 +257,9 @@ int main() {
   std::printf("  \"soak\": [\n");
   for (size_t i = 0; i < soak.size(); ++i)
     std::printf("    {\"width\": %u, \"requests\": %u, \"ms\": %.1f, \"jobs_per_sec\": "
-                "%.1f, \"bit_identical\": %s}%s\n",
+                "%.1f, \"cpu_ms_per_job\": %.1f, \"bit_identical\": %s}%s\n",
                 soak[i].width, soak[i].requests, soak[i].ms,
-                soak[i].requests * 1000.0 / soak[i].ms,
+                soak[i].requests * 1000.0 / soak[i].ms, soak[i].cpuMs / soak[i].requests,
                 soak[i].identical ? "true" : "false", i + 1 < soak.size() ? "," : "");
   std::printf("  ],\n  \"peak_rss_mb\": %.1f\n}\n", peakRssMb());
 

@@ -5,7 +5,7 @@
 
 #include "cb_config.h"
 #include "runtime/lint.h"
-#include "support/thread_pool.h"
+#include "support/scheduler.h"
 
 namespace cb {
 
@@ -27,6 +27,7 @@ uint64_t keyOf(const fe::Compilation& comp, const ProfileOptions& opts) {
 
 bool Profiler::compileString(const std::string& name, const std::string& source) {
   programKey_ = 0;
+  lowered_.reset();
   comp_ = fe::Compilation::fromString(name, source, opts_.compile);
   if (!comp_->ok()) {
     error_ = comp_->diags().renderAll();
@@ -38,6 +39,7 @@ bool Profiler::compileString(const std::string& name, const std::string& source)
 
 bool Profiler::compileFile(const std::string& path) {
   programKey_ = 0;
+  lowered_.reset();
   comp_ = fe::Compilation::fromFile(path, opts_.compile);
   if (!comp_->ok()) {
     error_ = comp_->diags().renderAll();
@@ -48,9 +50,11 @@ bool Profiler::compileFile(const std::string& path) {
 }
 
 void Profiler::attachProgram(std::shared_ptr<const fe::Compilation> comp,
-                             std::shared_ptr<const an::ModuleBlame> blame, uint64_t key) {
+                             std::shared_ptr<const an::ModuleBlame> blame, uint64_t key,
+                             std::shared_ptr<const rt::bc::CompiledModule> lowered) {
   comp_ = std::move(comp);
   blame_ = std::move(blame);
+  lowered_ = std::move(lowered);
   programKey_ = key;
   analysisCacheHit_ = false;
   result_.reset();
@@ -88,7 +92,7 @@ bool Profiler::run() {
     error_ = "run() requires a successful compile";
     return false;
   }
-  result_ = rt::execute(comp_->module(), opts_.run);
+  result_ = rt::execute(comp_->module(), opts_.run, nullptr, lowered_);
   if (!result_->ok) {
     error_ = "runtime error: " + result_->error;
     return false;
@@ -271,16 +275,20 @@ MultiLocaleResult profileMultiLocale(const std::string& path, uint32_t numLocale
   std::shared_ptr<const fe::Compilation> sharedComp = shared.sharedCompilation();
   std::shared_ptr<const an::ModuleBlame> sharedBlame = shared.sharedModuleBlame();
   uint64_t sharedKey = shared.programKey();
+  // The lowering depends only on the program and the cost profile, which
+  // every locale shares: lower once for the bytecode engine.
+  std::shared_ptr<const rt::bc::CompiledModule> lowered;
+  if (sharedOk && !opts.run.referenceInterp) lowered = rt::lower(sharedComp->module(), opts.run);
 
   // Each locale is one monitored execution + post-mortem over the shared
-  // program — embarrassingly parallel, so fan the locales out over a pool.
-  // Every locale writes only its own pre-sized slots, and each finished
-  // report is folded straight into a streaming aggregator (guarded by a
-  // mutex) whose folds are all commutative sums, so the aggregate is
-  // bit-identical for any worker count and any completion order. With
-  // keepPerLocaleReports off, the report dies with its pipeline right after
-  // the fold: peak memory is the accumulator plus the in-flight pipelines,
-  // never numLocales full reports.
+  // program — embarrassingly parallel, so the locales are tasks of one
+  // group on the process scheduler. Every locale writes only its own
+  // pre-sized slots, and each finished report is folded straight into a
+  // streaming aggregator (guarded by a mutex) whose folds are all
+  // commutative sums, so the aggregate is bit-identical for any width and
+  // any completion order. With keepPerLocaleReports off, the report dies
+  // with its pipeline right after the fold: peak memory is the accumulator
+  // plus the in-flight pipelines, never numLocales full reports.
   pm::StreamingAggregator agg;
   std::mutex aggMutex;
   auto runLocale = [&, numLocales](uint32_t locale) {
@@ -290,7 +298,7 @@ MultiLocaleResult profileMultiLocale(const std::string& path, uint32_t numLocale
     o.run.localeId = locale;
     o.run.configOverrides["hereId"] = std::to_string(locale);
     Profiler p(o);
-    p.attachProgram(sharedComp, sharedBlame, sharedKey);
+    p.attachProgram(sharedComp, sharedBlame, sharedKey, lowered);
     if (!p.run() || !p.postProcess()) {
       result.localeErrors[locale] = "locale " + std::to_string(locale) + ": " + p.lastError();
       return;
@@ -302,18 +310,13 @@ MultiLocaleResult profileMultiLocale(const std::string& path, uint32_t numLocale
     if (opts.keepPerLocaleReports) result.perLocale[locale] = std::move(*p.blameReportMutable());
   };
 
-  uint32_t workers = opts.localeWorkers != 0
-                         ? opts.localeWorkers
-                         : std::min(numLocales, ThreadPool::defaultConcurrency());
-  if (!sharedOk) {
-    // Locale errors already record the shared failure; skip the runs.
-  } else if (workers <= 1 || numLocales <= 1) {
-    for (uint32_t locale = 0; locale < numLocales; ++locale) runLocale(locale);
-  } else {
-    ThreadPool pool(std::min(workers, numLocales));
+  if (sharedOk) {  // else the locale errors already record the shared failure
+    uint32_t width = opts.localeWorkers != 0 ? opts.localeWorkers
+                                             : std::min(numLocales, Scheduler::instance().width());
+    TaskGroup group(std::min(width, numLocales));
     for (uint32_t locale = 0; locale < numLocales; ++locale)
-      pool.submit([&runLocale, locale] { runLocale(locale); });
-    pool.wait();
+      group.run([&runLocale, locale] { runLocale(locale); });
+    group.wait();
   }
 
   // Surface every failing locale, and keep aggregating the locales that did

@@ -34,21 +34,22 @@ struct ProfileOptions {
   an::BlameOptions blame;
   /// Execution-engine selection rides along here: `run.referenceInterp`
   /// forces the tree-walking oracle interpreter, and `run.replayThreads`
-  /// lets the default bytecode engine replay eligible parallel regions on
-  /// OS threads. Every combination produces a bit-identical RunLog, so
+  /// caps how many worker streams of an eligible parallel region the
+  /// default bytecode engine replays at once on the process scheduler. Every combination produces a bit-identical RunLog, so
   /// profiles are comparable regardless of engine (see src/runtime/exec.cpp).
   rt::RunOptions run;
   pm::ConsolidateOptions consolidate;
   pm::AttributionOptions attribution;
-  /// Parallel post-mortem (step 3) sharding. `postmortem.workers` defaults
-  /// to hardware concurrency; 1 forces the sequential path. Any worker
+  /// Parallel post-mortem (step 3) sharding. `postmortem.workers` caps the
+  /// shards running at once (default hardware concurrency); 1 forces the
+  /// sequential path. Any worker
   /// count yields a bit-identical BlameReport (see src/postmortem/parallel.h).
   pm::ParallelOptions postmortem;
   pm::BaselineOptions baseline;
   rpt::ViewOptions view;
-  /// profileMultiLocale pool width: each simulated locale is an independent
-  /// compile+run+postmortem pipeline, so locales execute on a ThreadPool of
-  /// this many workers. 0 = auto (min(numLocales, hardware)); 1 = fully
+  /// profileMultiLocale width: each simulated locale is an independent
+  /// run+postmortem pipeline, and at most this many run at once as tasks on
+  /// the process scheduler. 0 = auto (min(numLocales, hardware)); 1 = fully
   /// sequential. Any value yields bit-identical per-locale and aggregate
   /// reports — locale results land in pre-sized slots and the aggregate is
   /// streamed through a commutative accumulator, so completion order cannot
@@ -63,7 +64,7 @@ struct ProfileOptions {
   /// When false, profileMultiLocale drops each locale's BlameReport as soon
   /// as it has been folded into the streaming aggregate, leaving
   /// MultiLocaleResult::perLocale slots empty. That bounds peak memory at
-  /// O(distinct aggregate rows) + O(localeWorkers in-flight pipelines)
+  /// O(distinct aggregate rows) + O(in-flight locale pipelines)
   /// instead of O(numLocales × report) — the difference between 1024
   /// simulated locales fitting comfortably and not.
   bool keepPerLocaleReports = true;
@@ -97,9 +98,12 @@ class Profiler {
   /// Steps 0+1 by adoption: attaches an already-built program (typically a
   /// resident-cache hit), so compileX() and analyze() are skipped entirely.
   /// `blame` may be null for --fast pipelines. `key` records the program's
-  /// content hash (0 = unknown). Downstream artefacts are reset.
+  /// content hash (0 = unknown). `lowered`, when given, is the program's
+  /// rt::lower() under options().run's cost profile, and run() executes it
+  /// instead of lowering again. Downstream artefacts are reset.
   void attachProgram(std::shared_ptr<const fe::Compilation> comp,
-                     std::shared_ptr<const an::ModuleBlame> blame, uint64_t key = 0);
+                     std::shared_ptr<const an::ModuleBlame> blame, uint64_t key = 0,
+                     std::shared_ptr<const rt::bc::CompiledModule> lowered = nullptr);
 
   /// Step 1: static blame analysis. Requires a successful compile. Consults
   /// the on-disk cache when options().cacheDir is set.
@@ -189,6 +193,7 @@ class Profiler {
   ProfileOptions opts_;
   std::shared_ptr<const fe::Compilation> comp_;
   std::shared_ptr<const an::ModuleBlame> blame_;
+  std::shared_ptr<const rt::bc::CompiledModule> lowered_;  // null: run() lowers
   uint64_t programKey_ = 0;
   bool analysisCacheHit_ = false;
   std::optional<rt::RunResult> result_;

@@ -36,17 +36,8 @@ std::optional<ValueRef> foldBin(const Module& m, const Instr& in) {
   };
   if (rk == TypeKind::Int && a.kind == ValueRef::Kind::ConstInt &&
       b.kind == ValueRef::Kind::ConstInt) {
-    int64_t x = a.i, y = b.i;
-    switch (in.extra.bin) {
-      case BinKind::Add: return ValueRef::makeInt(x + y);
-      case BinKind::Sub: return ValueRef::makeInt(x - y);
-      case BinKind::Mul: return ValueRef::makeInt(x * y);
-      case BinKind::Div: return y == 0 ? std::nullopt : std::optional(ValueRef::makeInt(x / y));
-      case BinKind::Mod: return y == 0 ? std::nullopt : std::optional(ValueRef::makeInt(x % y));
-      case BinKind::Min: return ValueRef::makeInt(x < y ? x : y);
-      case BinKind::Max: return ValueRef::makeInt(x > y ? x : y);
-      default: return std::nullopt;
-    }
+    std::optional<int64_t> r = ir::intBin(in.extra.bin, a.i, b.i);
+    return r ? std::optional(ValueRef::makeInt(*r)) : std::nullopt;
   }
   if (rk == TypeKind::Real) {
     double x = asReal(a), y = asReal(b);
@@ -90,7 +81,7 @@ std::optional<ValueRef> foldUn(const Instr& in) {
   if (!isConst(v)) return std::nullopt;
   switch (in.extra.un) {
     case UnKind::Neg:
-      if (v.kind == ValueRef::Kind::ConstInt) return ValueRef::makeInt(-v.i);
+      if (v.kind == ValueRef::Kind::ConstInt) return ValueRef::makeInt(ir::intNeg(v.i));
       if (v.kind == ValueRef::Kind::ConstReal) return ValueRef::makeReal(-v.r);
       return std::nullopt;
     case UnKind::Not:
@@ -104,7 +95,7 @@ std::optional<ValueRef> foldUn(const Instr& in) {
       if (v.kind == ValueRef::Kind::ConstReal) return ValueRef::makeReal(std::sqrt(v.r));
       return std::nullopt;
     case UnKind::Abs:
-      if (v.kind == ValueRef::Kind::ConstInt) return ValueRef::makeInt(std::abs(v.i));
+      if (v.kind == ValueRef::Kind::ConstInt) return ValueRef::makeInt(ir::intAbs(v.i));
       if (v.kind == ValueRef::Kind::ConstReal) return ValueRef::makeReal(std::fabs(v.r));
       return std::nullopt;
     default:

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -106,6 +107,36 @@ enum class BinKind : uint8_t {
 };
 
 enum class UnKind : uint8_t { Neg, Not, IntToReal, RealToInt, Abs, Sqrt, Sin, Cos, Exp, Floor };
+
+// The int arithmetic rule, written once for both engines and the --fast
+// constant folder: Add, Sub, Mul, Neg and Abs wrap (two's complement),
+// min / -1 = min and min % -1 = 0, so no int operand pair traps or is
+// undefined. Division and modulo by zero have no value (nullopt): an engine
+// raises its run-time error, and the folder leaves the instruction for it.
+
+inline int64_t intNeg(int64_t x) { return static_cast<int64_t>(0 - static_cast<uint64_t>(x)); }
+
+inline int64_t intAbs(int64_t x) { return x < 0 ? intNeg(x) : x; }
+
+/// `x k y` for an int-result arithmetic kind; nullopt for division or
+/// modulo by zero and for kinds with no int result.
+inline std::optional<int64_t> intBin(BinKind k, int64_t x, int64_t y) {
+  int64_t r = 0;
+  switch (k) {
+    case BinKind::Add: __builtin_add_overflow(x, y, &r); return r;
+    case BinKind::Sub: __builtin_sub_overflow(x, y, &r); return r;
+    case BinKind::Mul: __builtin_mul_overflow(x, y, &r); return r;
+    case BinKind::Div:
+      if (y == 0) return std::nullopt;
+      return y == -1 ? intNeg(x) : x / y;
+    case BinKind::Mod:
+      if (y == 0) return std::nullopt;
+      return y == -1 ? 0 : x % y;
+    case BinKind::Min: return x < y ? x : y;
+    case BinKind::Max: return x > y ? x : y;
+    default: return std::nullopt;
+  }
+}
 
 enum class BuiltinKind : uint8_t {
   Writeln,     // prints args (suppressed under profiling by default)

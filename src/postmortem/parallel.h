@@ -3,9 +3,9 @@
 // locales; the same holds across samples within one locale, because both
 // consolidation and attribution are pure per-sample map-reduces. This module
 // shards the raw samples of a run log by (stream, taskTag), runs the two
-// per-sample kernels on a fixed-size worker pool, and reduces the per-shard
-// partial BlameReports with the order-independent aggregateAcrossLocales
-// kernel. The contract — enforced by the shard-invariance property suite and
+// per-sample kernels as tasks on the process scheduler, and reduces the
+// per-shard partial BlameReports with the order-independent
+// aggregateAcrossLocales kernel. The contract — enforced by the shard-invariance property suite and
 // the golden fixtures — is bit-identical output to the sequential path for
 // every worker and shard count.
 #pragma once
@@ -16,23 +16,25 @@
 #include "postmortem/attribution.h"
 #include "postmortem/instance.h"
 
-namespace cb {
-class ThreadPool;
-}
-
 namespace cb::pm {
 
 struct ParallelOptions {
-  /// Worker threads for the post-mortem step. 0 = hardware concurrency;
-  /// 1 preserves today's exact sequential path (no pool, no sharding).
+  /// Cap on the post-mortem shards that run at once on the process
+  /// scheduler. 0 = hardware concurrency; 1 preserves the exact sequential
+  /// path (no tasks, no sharding).
   uint32_t workers = 0;
-  /// Shard count. 0 = auto (kShardsPerWorker per resolved worker, so the
-  /// pool load-balances uneven shards). Clamped to >= 1.
+  /// Shard count. 0 = auto: kShardsPerWorker per resolved worker (so the
+  /// scheduler load-balances uneven shards), and no sharding at all below
+  /// kMinShardSamples samples. An explicit count always shards.
   uint32_t shards = 0;
 };
 
 /// Shards-per-worker factor used when ParallelOptions.shards == 0.
 inline constexpr uint32_t kShardsPerWorker = 4;
+
+/// Samples below which an auto-sharded post-mortem runs sequentially.
+/// DESIGN.md §7l gives the measurement behind the value.
+inline constexpr size_t kMinShardSamples = 10000;
 
 /// Deterministic shard assignment: sample i goes to shard
 /// hash(taskTag != 0 ? taskTag : stream) % numShards, so all samples of one
@@ -51,22 +53,16 @@ struct PostmortemResult {
   BlameReport report;
 };
 
-/// Runs consolidation and attribution sharded over `pool`. Pass
-/// mb == nullptr to skip attribution (the --fast path, where the
-/// source-variable mapping is stripped); consolidation still parallelizes.
-PostmortemResult runPostmortemSharded(const ir::Module& m, const an::ModuleBlame* mb,
-                                      const sampling::RunLog& log,
-                                      const ConsolidateOptions& copts,
-                                      const AttributionOptions& aopts, ThreadPool& pool,
-                                      uint32_t numShards);
-
-/// Convenience wrapper: resolves `popts`, creates the pool, and dispatches.
-/// workers == 1 (after resolution) runs the plain sequential kernels on the
-/// calling thread — exactly today's path, no pool created. A non-null
-/// `cache` is primed on that sequential path (one attributor covers every
-/// instance, so its memo is complete) for a later attributionSites call;
-/// the sharded path clears it instead — per-shard memos are partial and
-/// must not masquerade as full coverage.
+/// Runs consolidation and attribution. Pass mb == nullptr to skip
+/// attribution (the --fast path, where the source-variable mapping is
+/// stripped). workers == 1 (after resolution), or an auto shard count on a
+/// log under kMinShardSamples samples, runs the plain sequential kernels on
+/// the calling thread: no tasks, no sharding. Otherwise the shards are
+/// tasks of one TaskGroup on the process scheduler, at most `workers` at
+/// once. A non-null `cache` is primed on the sequential path (one
+/// attributor covers every instance, so its memo is complete) for a later
+/// attributionSites call; the sharded path clears it instead — per-shard
+/// memos are partial and must not masquerade as full coverage.
 PostmortemResult runPostmortem(const ir::Module& m, const an::ModuleBlame* mb,
                                const sampling::RunLog& log, const ConsolidateOptions& copts,
                                const AttributionOptions& aopts, const ParallelOptions& popts,

@@ -1,6 +1,7 @@
 // Flat bytecode form of CIR plus the parallel-replay eligibility analysis.
 //
-// `compile()` lowers every ir::Function once per run into a cache-friendly
+// `compile()` lowers every ir::Function once (rt::lower shares the result
+// across runs of one module and cost profile) into a cache-friendly
 // instruction array with pre-decoded operands: register indices, frame-slot
 // indices for allocas, pre-resolved branch targets (bytecode pcs instead of
 // block ids), interned constants, and per-instruction cycle costs pre-scaled
@@ -16,8 +17,8 @@
 // top-level forall/coforall region is provably race-free (all shared-array
 // accesses go through one disjoint induction-affine index signature per
 // written array, no global stores, no captured-variable stores, no RNG, no
-// nested spawns, no calls), the engine may replay its worker streams on OS
-// threads (see exec.cpp); otherwise the region runs sequentially. Either
+// nested spawns, no calls), the engine may replay its worker streams in
+// parallel (see exec.cpp); otherwise the region runs sequentially. Either
 // way the RunLog is identical.
 #pragma once
 

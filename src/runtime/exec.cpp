@@ -8,7 +8,8 @@
 // parallel-replay merge; tests/test_exec_diff.cpp enforces the equivalence.
 //
 // Parallel replay: a top-level forall/coforall whose SpawnPlan proved the
-// tasks independent may execute its worker streams on OS threads. The
+// tasks independent may execute its worker streams as tasks on the process
+// scheduler (support/scheduler.h), or inline when the region is small. The
 // sequential path already runs each worker stream's tasks back-to-back on a
 // continuous per-stream virtual clock (Pmu::setClock at a task boundary is
 // the identity there: after a charge, next == (clock/th+1)*th always
@@ -32,6 +33,7 @@
 #include "runtime/bytecode.h"
 #include "runtime/semantics.h"
 #include "support/common.h"
+#include "support/scheduler.h"
 #include "support/thread_pool.h"
 
 namespace cb::rt {
@@ -44,6 +46,11 @@ using sem::fail;
 namespace {
 
 const Value kEmptyValue{};
+
+/// Predicted instructions (Engine::runParallel) below which a replayable region
+/// runs its worker streams inline instead of forking them onto the
+/// scheduler. DESIGN.md §7l gives the measurement behind the value.
+constexpr double kMinForkInstructions = 50000;
 
 // In-place Value writes for the hot paths. A plain `v = Value::makeInt(x)`
 // move-assignment swaps in the temporary's (empty) elems buffer, throwing
@@ -58,8 +65,6 @@ inline void clearHeavy(Value& v) {
   if (__builtin_expect(v.arr != nullptr, 0)) v.arr.reset();
   if (__builtin_expect(v.str != nullptr, 0)) v.str.reset();
 }
-
-inline int64_t wrapNeg(int64_t x) { return static_cast<int64_t>(0 - static_cast<uint64_t>(x)); }
 
 inline void setInt(Value& out, int64_t v) {
   clearHeavy(out);
@@ -128,9 +133,16 @@ void copyInto(Value& out, const Value& in) {
 
 class Engine : sem::Core {
  public:
-  Engine(const ir::Module& m, const RunOptions& opts, an::loc::Collector* obs)
-      : Core(m, opts), obs_(obs), globals_(m.numGlobals()) {
-    compiled_ = bc::compile(m, cost_, icacheQ10_);
+  Engine(const ir::Module& m, const RunOptions& opts, an::loc::Collector* obs,
+         std::shared_ptr<const bc::CompiledModule> lowered)
+      : Core(m, opts),
+        obs_(obs),
+        lowered_(lowered ? std::move(lowered)
+                         : std::make_shared<const bc::CompiledModule>(
+                               bc::compile(m, cost_, icacheQ10_))),
+        compiled_(*lowered_),
+        forkHistory_(compiled_.plans.size()),
+        globals_(m.numGlobals()) {
     if (obs_)
       for (const bc::SpawnPlan& p : compiled_.plans) obs_->regionVerdict(p.taskFn, p.verdict);
     globalRefs_.reserve(m.numGlobals());
@@ -306,26 +318,7 @@ class Engine : sem::Core {
     const Value& b = rd(c, fr, bi.b);
     BinKind k = static_cast<BinKind>(bi.sub);
     if (rk == TypeKind::Int) {
-      int64_t x = a.asInt(), y = b.asInt(), r = 0;
-      switch (k) {
-        // int arithmetic wraps (two's complement) instead of overflowing.
-        case BinKind::Add: __builtin_add_overflow(x, y, &r); break;
-        case BinKind::Sub: __builtin_sub_overflow(x, y, &r); break;
-        case BinKind::Mul: __builtin_mul_overflow(x, y, &r); break;
-        case BinKind::Div:
-          if (y == 0) fail("integer division by zero", irFn.instrs[bi.ir].loc);
-          if (y == -1) __builtin_sub_overflow(0, x, &r);
-          else r = x / y;
-          break;
-        case BinKind::Mod:
-          if (y == 0) fail("integer modulo by zero", irFn.instrs[bi.ir].loc);
-          r = y == -1 ? 0 : x % y;
-          break;
-        case BinKind::Min: r = x < y ? x : y; break;
-        case BinKind::Max: r = x > y ? x : y; break;
-        default: fail("bad integer op", irFn.instrs[bi.ir].loc);
-      }
-      setInt(out, r);
+      setInt(out, sem::intArith(k, a.asInt(), b.asInt(), irFn.instrs[bi.ir].loc));
       return;
     }
     double x = a.num(), y = b.num(), r = 0;
@@ -348,14 +341,14 @@ class Engine : sem::Core {
     const Value& v = rd(c, fr, bi.a);
     switch (static_cast<UnKind>(bi.sub)) {
       case UnKind::Neg:
-        if (v.kind == VKind::Int) setInt(out, wrapNeg(v.i));  // wraps, like the binary ops
+        if (v.kind == VKind::Int) setInt(out, ir::intNeg(v.i));
         else setReal(out, -v.num());
         return;
       case UnKind::Not: setBool(out, !v.asBool()); return;
       case UnKind::IntToReal: setReal(out, static_cast<double>(v.asInt())); return;
       case UnKind::RealToInt: setInt(out, static_cast<int64_t>(v.num())); return;
       case UnKind::Abs:
-        if (v.kind == VKind::Int) setInt(out, v.i < 0 ? wrapNeg(v.i) : v.i);
+        if (v.kind == VKind::Int) setInt(out, ir::intAbs(v.i));
         else setReal(out, std::fabs(v.num()));
         return;
       case UnKind::Sqrt: setReal(out, std::sqrt(v.num())); return;
@@ -484,13 +477,6 @@ class Engine : sem::Core {
 
   // ---- spawn --------------------------------------------------------------
 
-  // ---- spawn --------------------------------------------------------------
-
-  uint32_t effectiveReplayThreads() const {
-    return ThreadPool::boundedWidth(opts_.replayThreads != 0 ? opts_.replayThreads
-                                                             : opts_.numWorkers);
-  }
-
   /// Appends the storage of every array `v` holds (through record fields,
   /// tuple elements and, when the elements hold arrays, nested arrays).
   /// Elements of one array share a type, so probing the first element
@@ -533,7 +519,7 @@ class Engine : sem::Core {
   bool canParallelize(const bc::SpawnPlan& plan, uint64_t numChunks,
                       const std::vector<Value>& extra, Ctx& ctx) {
     if (!plan.verdict.raceFree || obs_) return false;
-    if (effectiveReplayThreads() <= 1) return false;
+    if (replayWidth_ <= 1) return false;
     if (numChunks < 2 || opts_.numWorkers < 2) return false;
     // Keep generous headroom so the documented post-merge budget check can
     // never fire before the sequential engine would have failed anyway.
@@ -573,7 +559,8 @@ class Engine : sem::Core {
         owners.push_back(canon[i]);
     if (owners.empty()) return true;
     for (const ArrayObj* o : owners)
-      for (const Value& e : o->data) collectOwnedArrays(e, subs);
+      if (!o->data.empty() && holdsArrays(o->data.front()))  // one element type
+        for (const Value& e : o->data) collectOwnedArrays(e, subs);
     std::sort(subs.begin(), subs.end());
     if (std::adjacent_find(subs.begin(), subs.end()) != subs.end()) return false;
     for (const ArrayObj* c : canon)
@@ -581,9 +568,14 @@ class Engine : sem::Core {
     return true;
   }
 
-  void runParallel(Ctx& ctx, FuncId taskFn, SourceLoc loc, const sem::ChunkPlan& plan,
-                   const std::vector<Value>& extra, uint64_t tag, uint64_t t0,
+  /// Replays a region's worker streams: inline when it is predicted small,
+  /// else forked onto the scheduler and merged in canonical order.
+  void runParallel(Ctx& ctx, uint32_t site, FuncId taskFn, SourceLoc loc,
+                   const sem::ChunkPlan& plan, const std::vector<Value>& extra, uint64_t tag,
                    std::vector<uint64_t>& workerEnd);
+  void replayForked(Ctx& ctx, FuncId taskFn, SourceLoc loc, const sem::ChunkPlan& plan,
+                    const std::vector<Value>& extra, uint64_t tag, uint64_t from,
+                    std::vector<uint64_t>& workerEnd);
 
   void execSpawn(Ctx& ctx, EFrame& fr, const bc::BInstr& bi, const bc::BOperand* ops,
                  const ir::Function& irFn) {
@@ -598,18 +590,26 @@ class Engine : sem::Core {
     spawn(
         ctx, plan, bi.t0, bi.ir, sp.verdict.raceFree, loc,
         [&](int64_t a, int64_t b) { callFunction(ctx, bi.t0, sem::taskArgs({a, b}, extra)); },
-        [&](uint64_t tag, uint64_t t0, std::vector<uint64_t>& workerEnd) {
+        [&](uint64_t tag, std::vector<uint64_t>& workerEnd) {
           if (!canParallelize(sp, plan.tasks, extra, ctx)) return false;
-          runParallel(ctx, bi.t0, loc, plan, extra, tag, t0, workerEnd);
+          runParallel(ctx, bi.t1, bi.t0, loc, plan, extra, tag, workerEnd);
           return true;
         });
   }
 
   an::loc::Collector* obs_;  // rt::lint's access observer, or null
-  bc::CompiledModule compiled_;
+  /// Worker streams of one region replayed at once (the TaskGroup cap).
+  const uint32_t replayWidth_ =
+      ThreadPool::boundedWidth(opts_.replayThreads != 0 ? opts_.replayThreads : opts_.numWorkers);
+  std::shared_ptr<const bc::CompiledModule> lowered_;
+  const bc::CompiledModule& compiled_;
+  /// The last replayed instance of each spawn site (SpawnPlan index).
+  struct ForkHistory {
+    uint64_t instrs = 0, trips = 0;
+  };
+  std::vector<ForkHistory> forkHistory_;
   std::vector<Value> globals_;
   std::vector<Value> globalRefs_;  // pre-made makeRef(&globals_[g]) values
-  std::unique_ptr<ThreadPool> pool_;
   bool specialFrames_ = false;  // causalActive_ or an observer: not the plain loop
   /// Per-site static (icache-scaled) charge cost, indexed like the
   /// accumulator slots; seeds every accumulator so the dispatch loop's
@@ -621,9 +621,47 @@ class Engine : sem::Core {
 // Parallel worker-stream replay.
 // ---------------------------------------------------------------------------
 
-void Engine::runParallel(Ctx& ctx, FuncId taskFn, SourceLoc loc, const sem::ChunkPlan& plan,
-                         const std::vector<Value>& extra, uint64_t tag, uint64_t t0,
-                         std::vector<uint64_t>& workerEnd) {
+void Engine::runParallel(Ctx& ctx, uint32_t site, FuncId taskFn, SourceLoc loc,
+                         const sem::ChunkPlan& plan, const std::vector<Value>& extra,
+                         uint64_t tag, std::vector<uint64_t>& workerEnd) {
+  ++result_.parallelRegionsReplayed;
+  uint64_t icount0 = *ctx.icount;
+  ForkHistory& h = forkHistory_[site];
+  // Inline chunks take the sequential path's step on this context, straight
+  // into the run's sinks: nothing to buffer or merge, the instruction budget
+  // checked at the exact crossing instruction, and the first failure ends
+  // the region where the sequential path would.
+  auto task = [&](int64_t a, int64_t b) {
+    callFunction(ctx, taskFn, sem::taskArgs({a, b}, extra));
+  };
+  // Predicted instructions: the site's previous instance scaled by trip
+  // count. A first instance has none, and the static estimate (trips × the
+  // task function's instruction count) cannot see the loops inside a task
+  // body: it reads 7–900× low on minimd's and clomp's regions. So a first
+  // instance runs its first chunk inline and projects that over the chunks.
+  uint64_t from = 0;
+  double predicted;
+  if (h.trips != 0) {
+    predicted = static_cast<double>(h.instrs) / h.trips * plan.trips;
+  } else {
+    runOnStream(ctx, plan, 0, tag, task, workerEnd);
+    from = 1;
+    predicted = static_cast<double>(*ctx.icount - icount0) * plan.tasks;
+  }
+  // Below kMinForkInstructions a fork costs more than its streams save.
+  if (predicted >= kMinForkInstructions)
+    replayForked(ctx, taskFn, loc, plan, extra, tag, from, workerEnd);
+  else
+    for (uint64_t ti = from; ti < plan.tasks; ++ti)
+      runOnStream(ctx, plan, ti, tag, task, workerEnd);
+  h = {*ctx.icount - icount0, plan.trips};
+}
+
+void Engine::replayForked(Ctx& ctx, FuncId taskFn, SourceLoc loc, const sem::ChunkPlan& plan,
+                          const std::vector<Value>& extra, uint64_t tag, uint64_t from,
+                          std::vector<uint64_t>& workerEnd) {
+  // Chunks [from, tasks) fork as one task per stream, each from the
+  // stream's clock in workerEnd, into private sinks merged afterwards.
   uint32_t w = opts_.numWorkers;
   struct TRec {  // one chunk's artefacts: sink ends and counter deltas
     size_t sampleEnd = 0, outputEnd = 0, allocEnd = 0, spanEnd = 0;
@@ -646,16 +684,16 @@ void Engine::runParallel(Ctx& ctx, FuncId taskFn, SourceLoc loc, const sem::Chun
   uint32_t usedStreams = static_cast<uint32_t>(std::min<uint64_t>(w, plan.tasks));
   uint64_t workerBudget = opts_.maxInstructions - *ctx.icount;
   size_t nf = m_.numFunctions();
-
-  ++result_.parallelRegionsReplayed;
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(effectiveReplayThreads());
+  TaskGroup group(replayWidth_);
   for (uint32_t ws = 1; ws <= usedStreams; ++ws) {
-    pool_->submit([&, ws] {
+    uint64_t first = ws - 1 + (from > ws - 1 ? (from - ws + w) / w * w : 0);
+    if (first >= plan.tasks) continue;
+    group.run([&, ws, first] {
       StreamRes& S = streams[ws];
       Ctx wc;
       wc.stream = ws;
       wc.taskTag = tag;
-      wc.pmu = sem::Pmu(threshold_, t0);
+      wc.pmu = sem::Pmu(threshold_, workerEnd[ws]);
       uint64_t local = 0;
       wc.icount = &local;
       wc.maxInstr = workerBudget;
@@ -692,7 +730,7 @@ void Engine::runParallel(Ctx& ctx, FuncId taskFn, SourceLoc loc, const sem::Chun
       auto task = [&](int64_t a, int64_t b) {
         callFunction(wc, taskFn, sem::taskArgs({a, b}, extra));
       };
-      for (uint64_t ti = ws - 1; ti < plan.tasks; ti += w) {
+      for (uint64_t ti = first; ti < plan.tasks; ti += w) {
         try {
           runChunk(wc, plan, ti, tag, true, task);
         } catch (const sem::RunError& e) {
@@ -708,7 +746,7 @@ void Engine::runParallel(Ctx& ctx, FuncId taskFn, SourceLoc loc, const sem::Chun
       S.endClock = wc.pmu.clock;
     });
   }
-  pool_->wait();
+  group.wait();
 
   // Canonical merge in global task order: the artefact sequence becomes
   // indistinguishable from the sequential round-robin execution.
@@ -717,7 +755,7 @@ void Engine::runParallel(Ctx& ctx, FuncId taskFn, SourceLoc loc, const sem::Chun
     if (streams[ws].failed) minFail = std::min(minFail, streams[ws].failTi);
   std::vector<size_t> cursor(w + 1, 0), sStart(w + 1, 0), oStart(w + 1, 0), aStart(w + 1, 0),
       pStart(w + 1, 0);
-  for (uint64_t ti = 0; ti < plan.tasks; ++ti) {
+  for (uint64_t ti = from; ti < plan.tasks; ++ti) {
     if (ti > minFail) break;
     uint32_t ws = 1 + static_cast<uint32_t>(ti % w);
     StreamRes& S = streams[ws];
@@ -753,7 +791,8 @@ void Engine::runParallel(Ctx& ctx, FuncId taskFn, SourceLoc loc, const sem::Chun
   // instructions; the error text matches the sequential engines.
   if (result_.instructionsExecuted > opts_.maxInstructions)
     fail("instruction budget exceeded", loc);
-  for (uint32_t ws = 1; ws <= usedStreams; ++ws) workerEnd[ws] = streams[ws].endClock;
+  for (uint32_t ws = 1; ws <= usedStreams; ++ws)
+    if (!streams[ws].recs.empty()) workerEnd[ws] = streams[ws].endClock;
 }
 
 // ---------------------------------------------------------------------------
@@ -1123,9 +1162,16 @@ void Engine::execFrameT(Ctx& ctx, EFrame& fr, const bc::BFunc& bf, const ir::Fun
 
 }  // namespace
 
+std::shared_ptr<const bc::CompiledModule> lower(const ir::Module& m, const RunOptions& opts) {
+  CostModel cost(sem::costProfileOf(opts));
+  return std::make_shared<const bc::CompiledModule>(
+      bc::compile(m, cost, sem::icacheQ10(m, cost.profile())));
+}
+
 RunResult executeBytecode(const ir::Module& m, const RunOptions& opts,
-                          an::loc::Collector* observer) {
-  Engine engine(m, opts, observer);
+                          an::loc::Collector* observer,
+                          std::shared_ptr<const bc::CompiledModule> lowered) {
+  Engine engine(m, opts, observer, std::move(lowered));
   return engine.run();
 }
 

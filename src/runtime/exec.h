@@ -15,6 +15,7 @@ namespace cb::rt {
 /// store, element access, agg.copy and spawn entry; regions then replay
 /// sequentially so the observed order is the canonical one.
 RunResult executeBytecode(const ir::Module& m, const RunOptions& opts,
-                          an::loc::Collector* observer);
+                          an::loc::Collector* observer,
+                          std::shared_ptr<const bc::CompiledModule> lowered);
 
 }  // namespace cb::rt

@@ -20,8 +20,6 @@ using sem::fail;
 
 namespace {
 
-int64_t wrapNeg(int64_t x) { return static_cast<int64_t>(0 - static_cast<uint64_t>(x)); }
-
 /// The tree-walking reference interpreter: evaluates IR operands, follows
 /// the CFG, does the arithmetic and keeps call frames with alloca slots.
 /// Every measured rule is sem::Core's, so what this engine checks in the
@@ -326,26 +324,7 @@ class Interp : sem::Core {
       return;
     }
     if (rk == TypeKind::Int) {
-      int64_t x = a.asInt(), y = b.asInt(), r = 0;
-      switch (k) {
-        // int arithmetic wraps (two's complement) instead of overflowing.
-        case BinKind::Add: __builtin_add_overflow(x, y, &r); break;
-        case BinKind::Sub: __builtin_sub_overflow(x, y, &r); break;
-        case BinKind::Mul: __builtin_mul_overflow(x, y, &r); break;
-        case BinKind::Div:
-          if (y == 0) fail("integer division by zero", in.loc);
-          if (y == -1) __builtin_sub_overflow(0, x, &r);
-          else r = x / y;
-          break;
-        case BinKind::Mod:
-          if (y == 0) fail("integer modulo by zero", in.loc);
-          r = y == -1 ? 0 : x % y;
-          break;
-        case BinKind::Min: r = x < y ? x : y; break;
-        case BinKind::Max: r = x > y ? x : y; break;
-        default: fail("bad integer op", in.loc);
-      }
-      fr.regs[id] = Value::makeInt(r);
+      fr.regs[id] = Value::makeInt(sem::intArith(k, a.asInt(), b.asInt(), in.loc));
       return;
     }
     // Real result.
@@ -370,13 +349,13 @@ class Interp : sem::Core {
     switch (in.extra.un) {
       case UnKind::Neg:  // int negation wraps, like the binary ops
         fr.regs[id] =
-            (v.kind == VKind::Int) ? Value::makeInt(wrapNeg(v.i)) : Value::makeReal(-v.num());
+            (v.kind == VKind::Int) ? Value::makeInt(ir::intNeg(v.i)) : Value::makeReal(-v.num());
         return;
       case UnKind::Not: fr.regs[id] = Value::makeBool(!v.asBool()); return;
       case UnKind::IntToReal: fr.regs[id] = Value::makeReal(static_cast<double>(v.asInt())); return;
       case UnKind::RealToInt: fr.regs[id] = Value::makeInt(static_cast<int64_t>(v.num())); return;
       case UnKind::Abs:
-        fr.regs[id] = (v.kind == VKind::Int) ? Value::makeInt(v.i < 0 ? wrapNeg(v.i) : v.i)
+        fr.regs[id] = (v.kind == VKind::Int) ? Value::makeInt(ir::intAbs(v.i))
                                              : Value::makeReal(std::fabs(v.num()));
         return;
       case UnKind::Sqrt: fr.regs[id] = Value::makeReal(std::sqrt(v.num())); return;
@@ -399,7 +378,7 @@ class Interp : sem::Core {
         s_, sem::ChunkPlan(lo, hi, extra, in.imm == 1, opts_.numWorkers), fn, fr.ir,
         raceCache_.verdictFor(m_, fn).raceFree, in.loc,
         [&](int64_t a, int64_t b) { callFunction(fn, sem::taskArgs({a, b}, extra)); },
-        [](uint64_t, uint64_t, std::vector<uint64_t>&) { return false; });
+        [](uint64_t, std::vector<uint64_t>&) { return false; });
   }
 
   void execBuiltin(Frame& fr, InstrId id, const Instr& in) {
@@ -452,13 +431,15 @@ class Interp : sem::Core {
 
 }  // namespace
 
-RunResult execute(const ir::Module& m, const RunOptions& opts, an::loc::Collector* observer) {
+RunResult execute(const ir::Module& m, const RunOptions& opts, an::loc::Collector* observer,
+                  std::shared_ptr<const bc::CompiledModule> lowered) {
   if (opts.numWorkers == 0) {
     RunResult r;
     r.error = "invalid run options: numWorkers must be at least 1";
     return r;
   }
-  if (!opts.referenceInterp || observer) return executeBytecode(m, opts, observer);
+  if (!opts.referenceInterp || observer)
+    return executeBytecode(m, opts, observer, std::move(lowered));
   return Interp(m, opts).run();
 }
 

@@ -17,6 +17,7 @@
 // the module + options, so every paper table reproduces exactly.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -62,11 +63,13 @@ struct RunOptions {
   /// measurement rules (src/runtime/semantics.h) and produce bit-identical
   /// RunLogs.
   bool referenceInterp = false;
-  /// OS threads used for deterministic parallel replay of worker streams in
-  /// the bytecode engine. 0 = auto (min(numWorkers, hardware)); 1 = fully
-  /// sequential execution. Any value yields a bit-identical RunLog: only
-  /// provably independent forall/coforall regions replay in parallel, and
-  /// their per-stream artefacts are merged in canonical task order.
+  /// Cap on the worker streams of one region that replay at once on the
+  /// process scheduler (support/scheduler.h) in the bytecode engine.
+  /// 0 = auto (min(numWorkers, hardware)); 1 = fully sequential execution.
+  /// Any value yields a bit-identical RunLog: only provably independent
+  /// forall/coforall regions replay, their per-stream artefacts are merged
+  /// in canonical task order, and a region whose predicted work is small
+  /// replays its streams inline instead of forking.
   uint32_t replayThreads = 0;
   /// Simulated PGAS locale count (SPMD: profileMultiLocale runs the program
   /// once per locale) and the id of the locale this run models. `on` blocks
@@ -104,15 +107,30 @@ struct RunResult {
   bool ok = false;
   std::string error;                  // runtime error message when !ok
   /// Diagnostics only (never part of the RunLog comparison): number of
-  /// top-level spawn regions the bytecode engine replayed on OS threads.
-  /// Always 0 for the reference interpreter and for replayThreads == 1.
+  /// top-level spawn regions the bytecode engine replayed as worker-stream
+  /// chunks — forked onto the scheduler, or inline in canonical order when
+  /// small. Always 0 for the reference interpreter and for
+  /// replayThreads == 1.
   uint64_t parallelRegionsReplayed = 0;
 };
+
+namespace bc {
+struct CompiledModule;
+}
+
+/// The bytecode engine's lowering of `m` (bytecode plus the race prover's
+/// spawn plans). It depends only on the module and `opts`' cost profile, and
+/// no run writes it, so every run with that module and profile may share
+/// one — profileMultiLocale lowers once for all its locales.
+std::shared_ptr<const bc::CompiledModule> lower(const ir::Module& m, const RunOptions& opts);
 
 /// Compiles nothing — executes an already-lowered module under monitoring.
 /// `numWorkers == 0` is rejected (ok = false). An `observer` (rt::lint's
 /// locality collector) always runs on the bytecode engine, sequentially.
+/// `lowered`, when given, must come from lower() on `m` with the same cost
+/// profile; the bytecode engine lowers `m` itself otherwise.
 RunResult execute(const ir::Module& m, const RunOptions& opts,
-                  an::loc::Collector* observer = nullptr);
+                  an::loc::Collector* observer = nullptr,
+                  std::shared_ptr<const bc::CompiledModule> lowered = nullptr);
 
 }  // namespace cb::rt

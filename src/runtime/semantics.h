@@ -35,6 +35,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -60,6 +61,16 @@ struct RunError {
 
 [[noreturn]] inline void fail(std::string message, SourceLoc loc) {
   throw RunError{std::move(message), loc};
+}
+
+/// An int-result Bin under the int rule (ir::intBin); division or modulo by
+/// zero fails the run at `loc`.
+inline int64_t intArith(ir::BinKind k, int64_t x, int64_t y, SourceLoc loc) {
+  if (std::optional<int64_t> r = ir::intBin(k, x, y)) return *r;
+  fail(k == ir::BinKind::Div   ? "integer division by zero"
+       : k == ir::BinKind::Mod ? "integer modulo by zero"
+                               : "bad integer op",
+       loc);
 }
 
 /// Where a call frame is: its function and the instruction it executes (the
@@ -212,6 +223,12 @@ inline int64_t ownerOf(const ArrayObj* own, int64_t idx0, int64_t here) {
   return distributed(own->dom) ? own->dom.ownerOf(idx0) : here;
 }
 
+/// The cost profile a run charges: the override, else fast or standard.
+inline CostProfile costProfileOf(const RunOptions& opts) {
+  if (opts.costProfileOverride) return *opts.costProfileOverride;
+  return opts.fastCostProfile ? CostProfile::fast() : CostProfile::standard();
+}
+
 /// Instruction-footprint multiplier per function (Q10 fixed point): large
 /// functions pay an instruction-cache penalty on every instruction.
 inline std::vector<uint64_t> icacheQ10(const ir::Module& m, const CostProfile& p) {
@@ -339,9 +356,7 @@ class Core {
   Core(const ir::Module& m, const RunOptions& opts)
       : m_(m),
         opts_(opts),
-        cost_(opts.costProfileOverride
-                  ? *opts.costProfileOverride
-                  : (opts.fastCostProfile ? CostProfile::fast() : CostProfile::standard())),
+        cost_(costProfileOf(opts)),
         rng_(opts.rngSeed),
         threshold_(opts.sampleThreshold),
         skid_(opts.skidInstructions),
@@ -865,8 +880,9 @@ class Core {
   /// current stream (a saturated pool); a top-level spawn is a parallel
   /// region: its chunks go round-robin over the worker streams, idle worker
   /// time before and after is sampled, and the main clock jumps to the
-  /// slowest worker at the join. `replay(tag, t0, workerEnd)` may execute
-  /// the whole region itself (parallel replay) and returns whether it did;
+  /// slowest worker at the join. `replay(tag, workerEnd)` may execute the
+  /// whole region itself (parallel replay), moving each worker stream's
+  /// clock in workerEnd on from the fork time, and returns whether it did;
   /// otherwise the chunks run here in canonical order.
   template <class Task, class Replay>
   void spawn(Stream& s, const ChunkPlan& plan, ir::FuncId taskFn, ir::InstrId spawnInstr,
@@ -917,15 +933,9 @@ class Core {
       // so the count is the same for every engine and replay width.
       if (!raceFree) ++result_.log.raceFallbackRegions;
       try {
-        if (!replay(tag, t0, workerEnd)) {
-          for (uint64_t ti = 0; ti < plan.tasks; ++ti) {
-            uint32_t ws = 1 + static_cast<uint32_t>(ti % w);
-            s.stream = ws;
-            s.pmu.setClock(workerEnd[ws]);
-            runChunk(s, plan, ti, tag, true, task);
-            workerEnd[ws] = s.pmu.clock;
-          }
-        }
+        if (!replay(tag, workerEnd))
+          for (uint64_t ti = 0; ti < plan.tasks; ++ti)
+            runOnStream(s, plan, ti, tag, task, workerEnd);
       } catch (...) {
         // The main clock never moved during the region: the run ends at
         // the fork.
@@ -967,6 +977,19 @@ class Core {
     task(lo, hi);
     flushSkid(s);
     pushSpan(s, tag, static_cast<uint32_t>(ti), start, takeSites);
+  }
+
+  /// Chunk `ti` of a top-level region on its worker stream, from that
+  /// stream's clock in `workerEnd`, which it moves on: the sequential path's
+  /// step, also taken by an engine's inline replay.
+  template <class Task>
+  void runOnStream(Stream& s, const ChunkPlan& plan, uint64_t ti, uint64_t tag, Task& task,
+                   std::vector<uint64_t>& workerEnd) {
+    uint32_t ws = 1 + static_cast<uint32_t>(ti % opts_.numWorkers);
+    s.stream = ws;
+    s.pmu.setClock(workerEnd[ws]);
+    runChunk(s, plan, ti, tag, true, task);
+    workerEnd[ws] = s.pmu.clock;
   }
 
   const ir::Module& m_;

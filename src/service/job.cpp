@@ -32,14 +32,17 @@ std::string usageText() {
       "  --fast                compile with the --fast pipeline\n"
       "  --threshold N         PMU overflow threshold (virtual cycles)\n"
       "  --workers N           worker streams (1..65536, default 12)\n"
-      "  --pm-workers N        post-mortem worker threads (0 = hardware, 1 = sequential)\n"
+      "  --pm-workers N        post-mortem shards run at once on the shared scheduler\n"
+      "                        (0 = hardware, 1 = sequential; small logs never shard)\n"
       "  --config K=V          override a config const (repeatable); V must parse\n"
       "                        as the config's type, unknown names are ignored\n"
       "  --view V              data|code|pprof|hybrid|gui|baseline|csv|comm|commmatrix|locale\n"
       "                        (default data; locale requires --locales N)\n"
       "  --skid N              simulate PMU skid of N instructions\n"
       "  --reference-interp    use the tree-walking oracle instead of bytecode\n"
-      "  --replay-threads N    replay eligible parallel regions on N OS threads\n"
+      "  --replay-threads N    replay eligible parallel regions' worker streams, N at\n"
+      "                        once on the shared scheduler (0 = auto, 1 = sequential;\n"
+      "                        small regions replay inline)\n"
       "  --locales N           simulate N locales (1..4096) and aggregate blame\n"
       "  --save-log PATH       write the raw monitoring dataset to PATH\n"
       "  --from-log PATH       skip execution: stream an existing run log (text or\n"

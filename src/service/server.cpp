@@ -52,14 +52,16 @@ bool Server::start() {
   pool_ = std::make_unique<ThreadPool>(workers);
   stopping_.store(false);
   running_.store(true);
-  acceptor_ = std::thread([this] { acceptLoop(); });
+  // The descriptor goes in by value: thread creation orders this read before
+  // anything stop() does to the member.
+  acceptor_ = std::thread([this, fd = listenFd_] { acceptLoop(fd); });
   return true;
 }
 
-void Server::acceptLoop() {
+void Server::acceptLoop(int listenFd) {
   uint64_t accepted = 0;
   while (!stopping_.load()) {
-    int fd = ::accept(listenFd_, nullptr, nullptr);
+    int fd = ::accept(listenFd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;  // listening socket closed by stop()
@@ -102,13 +104,15 @@ uint64_t Server::wait() {
 void Server::stop() {
   if (listenFd_ < 0 && !acceptor_.joinable()) return;
   stopping_.store(true);
+  // Unblock accept() with shutdown(), and close only after the join, so
+  // the acceptor never calls accept() on a descriptor number an unrelated
+  // open() has reused.
+  if (listenFd_ >= 0) ::shutdown(listenFd_, SHUT_RDWR);
+  if (acceptor_.joinable()) acceptor_.join();
   if (listenFd_ >= 0) {
-    // Unblock accept(): shutdown() first (portable wakeup), then close.
-    ::shutdown(listenFd_, SHUT_RDWR);
     ::close(listenFd_);
     listenFd_ = -1;
   }
-  if (acceptor_.joinable()) acceptor_.join();
   if (pool_) pool_->wait();
   running_.store(false);
   ::unlink(opts_.socketPath.c_str());

@@ -68,7 +68,7 @@ class Server {
   cache::ResidentProgramCache& residentCache() { return resident_; }
 
  private:
-  void acceptLoop();
+  void acceptLoop(int listenFd);
   void handleConnection(int fd);
 
   ServerOptions opts_;

@@ -1,5 +1,7 @@
-// A small fixed-size worker pool for the parallel post-mortem pipeline and
-// other embarrassingly-parallel batch work. Deliberately minimal: submit
+// A small fixed-size worker pool for the daemon's connection handlers and
+// batch work outside a profiling job (benchmark harnesses). Every fork
+// inside a job goes to the process scheduler (support/scheduler.h)
+// instead. Deliberately minimal: submit
 // `void()` jobs, then `wait()` for the batch to drain. Results are
 // communicated through pre-sized output slots owned by the caller, so jobs
 // never contend on shared mutable state.
@@ -45,11 +47,11 @@ class ThreadPool {
   /// return 0 on exotic platforms).
   static uint32_t defaultConcurrency();
 
-  /// Pool width for a user-requested thread count: 0 means hardware
-  /// concurrency, and no request gets more threads than the hardware has.
-  /// Every width flag (--replay-threads, --pm-workers) resolves through this,
-  /// so no request can start an unbounded number of OS threads; widths are
-  /// byte-invariant, so the cap never changes a result.
+  /// Width for a user-requested thread count: 0 means hardware
+  /// concurrency, and no request gets more than the hardware has. Every
+  /// width flag (--replay-threads, --pm-workers) resolves through this into
+  /// a TaskGroup cap; widths are byte-invariant, so the cap never changes a
+  /// result.
   static uint32_t boundedWidth(uint32_t requested);
 
  private:

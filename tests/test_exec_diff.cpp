@@ -20,6 +20,7 @@
 
 #include "sampling/sample.h"
 #include "support/rng.h"
+#include "support/scheduler.h"
 #include "test_util.h"
 
 namespace cb {
@@ -208,6 +209,63 @@ TEST(PropertyExecErrors, DivisionByZeroInsideTask) {
   expectSourceAgrees(src, base, "div by zero in forall");
 }
 
+TEST(PropertyExecErrors, FailuresAndOutputInsideForkedRegions) {
+  // The regions above are small, so they replay inline. These run their
+  // first chunk inline, project it past the fork gate and fork the rest
+  // (the coforall gives each stream several chunks): the merge must keep
+  // the failure the sequential schedule hits first and the output order
+  // across the inline chunk and the forked ones.
+  const char* sources[] = {
+      R"(
+    const D = {0..#200000};
+    var a: [D] real;
+    proc main() {
+      forall i in D { a[i + 150000] = 1.0; }
+      writeln("unreachable");
+    }
+  )",
+      R"(
+    const D = {0..#200000};
+    var a: [D] int;
+    proc main() {
+      forall i in D { a[i] = 100 / (i - 123457); }
+    }
+  )",
+      R"(
+    const D = {0..#200000};
+    var a: [D] int;
+    proc main() {
+      forall i in D {
+        a[i] = i * 3;
+        if i % 40000 == 7 then writeln("at ", i);
+      }
+      writeln(a[199999]);
+    }
+  )",
+      R"(
+    const D = {0..#48};
+    var a: [D] int;
+    proc main() {
+      coforall i in D {
+        var s = 0;
+        for k in 0..#5000 { s = s + k * i; }
+        a[i] = s;
+        if i % 7 == 0 then writeln("task ", i);
+      }
+      writeln(a[47]);
+    }
+  )",
+  };
+  for (const char* src : sources) {
+    auto c = fe::Compilation::fromString("forked.chpl", src, {});
+    ASSERT_TRUE(c->ok()) << c->diags().renderAll();
+    rt::RunOptions o;
+    o.replayThreads = 4;
+    EXPECT_EQ(rt::execute(c->module(), o).parallelRegionsReplayed, 1u) << src;
+    expectAllModesAgree(c->module(), rt::RunOptions{}, src);
+  }
+}
+
 TEST(PropertyExecErrors, InstructionBudgetExhaustion) {
   const std::string src = R"(
     proc main() {
@@ -334,10 +392,10 @@ TEST(PropertyExecErrors, ZeroWorkersRejectedByBothEngines) {
 // configurations.
 // ---------------------------------------------------------------------------
 
-std::string randomProgram(uint64_t seed) {
+std::string randomProgram(uint64_t seed, uint32_t minExtent = 16) {
   Rng rng(seed);
   auto pick = [&](uint32_t n) { return rng.nextBounded(n); };
-  uint32_t n = 16 + pick(48);          // array extent
+  uint32_t n = minExtent + pick(48);   // array extent
   uint32_t rows = 3 + pick(5), cols = 3 + pick(5);
   std::string s;
   s += "config const scale = " + std::to_string(1 + pick(7)) + ";\n";
@@ -432,6 +490,20 @@ TEST_P(PropertyExecDiffRandom, GeneratedModuleLowThresholdFewWorkers) {
   base.sampleThreshold = 211;
   base.numWorkers = 3;
   expectSourceAgrees(src, base, "seed' " + std::to_string(GetParam()));
+}
+
+TEST_P(PropertyExecDiffRandom, GeneratedModuleLargeRegionsFork) {
+  // At this extent every eligible region executes well over
+  // kMinForkInstructions (50,000), so the replay forks its streams onto the
+  // scheduler and the canonical merge runs on generated programs too; the
+  // small extents above replay inline.
+  std::string src = randomProgram(GetParam() ^ 0x5bd1e995ull, 16000);
+  rt::RunOptions base;
+  base.sampleThreshold = 997;
+  expectSourceAgrees(src, base, "large seed " + std::to_string(GetParam()));
+  // Each test runs in its own process under ctest, so a started worker
+  // means this test forked.
+  if (Scheduler::instance().width() > 1) EXPECT_GT(Scheduler::instance().threadsStarted(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PropertyExecDiffRandom,

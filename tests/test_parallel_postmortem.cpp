@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "postmortem/parallel.h"
@@ -264,6 +265,46 @@ TEST_P(ParallelCorpus, ProfilerFacadeMatchesSequential) {
   EXPECT_EQ(*par.instances(), *seq.instances());
   EXPECT_EQ(par.dataCentricText(), seq.dataCentricText());
   EXPECT_EQ(par.codeCentricText(), seq.codeCentricText());
+}
+
+// At the default threshold the corpus logs stay under kMinShardSamples,
+// where an auto shard count runs the sequential path; an explicit count
+// forces the sharded merge on every program, with and without attribution.
+uint64_t shardedThreshold(const char* name, uint64_t threshold) {
+  return std::string(name) == "example" ? 7 : threshold;  // example runs ~49 cycles
+}
+
+TEST_P(ParallelCorpus, ExplicitShardsMatchSequentialBitForBit) {
+  Profiler p;
+  sampling::RunLog log = logOfAsset(GetParam(), p, shardedThreshold(GetParam(), 9973));
+  ASSERT_GT(log.samples.size(), 0u);
+  for (uint32_t workers : {2u, 4u, 8u}) {
+    pm::ParallelOptions popts;
+    popts.workers = workers;
+    popts.shards = workers * pm::kShardsPerWorker;
+    pm::PostmortemResult r = pm::runPostmortem(p.compilation()->module(), p.moduleBlame(),
+                                               log, {}, {}, popts);
+    EXPECT_EQ(r.instances, *p.instances()) << "workers=" << workers;
+    ASSERT_EQ(r.report, *p.blameReport()) << "workers=" << workers;
+  }
+}
+
+TEST_P(ParallelCorpus, FastModeExplicitShardsMatchSequential) {
+  Profiler p;
+  p.options().compile.fast = true;
+  p.options().run.fastCostProfile = true;
+  sampling::RunLog log = logOfAsset(GetParam(), p, shardedThreshold(GetParam(), 997));
+  ASSERT_GT(log.samples.size(), 0u);
+  ASSERT_TRUE(p.compilation()->module().debugInfoStripped);
+  for (uint32_t workers : {2u, 4u, 8u}) {
+    pm::ParallelOptions popts;
+    popts.workers = workers;
+    popts.shards = workers * pm::kShardsPerWorker;
+    pm::PostmortemResult r =
+        pm::runPostmortem(p.compilation()->module(), nullptr, log, {}, {}, popts);
+    EXPECT_EQ(r.instances, *p.instances()) << "workers=" << workers;
+    EXPECT_TRUE(r.report.rows.empty()) << "workers=" << workers;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Programs, ParallelCorpus,

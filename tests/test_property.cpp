@@ -3,6 +3,9 @@
 // grammar-based fuzz harness for the PGAS frontend (on / dmapped).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "ir/verifier.h"
 #include "sampling/sample.h"
 #include "support/rng.h"
@@ -157,8 +160,28 @@ INSTANTIATE_TEST_SUITE_P(Workers, WorkerSweep, ::testing::Values(1u, 2u, 4u, 12u
 
 // ---------------------------------------------------------------------------
 // Compile-mode matrix: every program produces identical output with and
-// without --fast (the pipeline must be semantics-preserving).
+// without --fast (the pipeline must be semantics-preserving). The int-edge
+// inputs are expressions the --fast folder evaluates at compile time and
+// the engines at run time: both must apply the one wrapping int rule.
 // ---------------------------------------------------------------------------
+
+const std::map<std::string, std::string>& intEdgeSources() {
+  static const std::map<std::string, std::string> sources = {
+      {"min_div_neg1",
+       "proc main() { var x = (0 - 9223372036854775807 - 1) / (0 - 1); writeln(x); }"},
+      {"max_plus_1", "proc main() { var x = 9223372036854775807 + 1; writeln(x); }"},
+      {"sub_min", "proc main() { var x = 0 - (0 - 9223372036854775807 - 1); writeln(x); }"},
+      {"abs_min", "proc main() { var x = abs(0 - 9223372036854775807 - 1); writeln(x); }"},
+  };
+  return sources;
+}
+
+/// Compiles a bundled program, or one of the int-edge sources by name.
+bool compileInput(Profiler& p, const std::string& name) {
+  auto it = intEdgeSources().find(name);
+  if (it != intEdgeSources().end()) return p.compileString(name + ".chpl", it->second);
+  return p.compileFile(assetProgram(name));
+}
 
 class FastModeMatrix : public ::testing::TestWithParam<const char*> {};
 
@@ -167,8 +190,8 @@ TEST_P(FastModeMatrix, OutputsMatch) {
   plain.options().run.sampleThreshold = 0;
   fast.options().run.sampleThreshold = 0;
   fast.options().compile.fast = true;
-  ASSERT_TRUE(plain.compileFile(assetProgram(GetParam())) && plain.run()) << plain.lastError();
-  ASSERT_TRUE(fast.compileFile(assetProgram(GetParam())) && fast.run()) << fast.lastError();
+  ASSERT_TRUE(compileInput(plain, GetParam()) && plain.run()) << plain.lastError();
+  ASSERT_TRUE(compileInput(fast, GetParam()) && fast.run()) << fast.lastError();
   EXPECT_EQ(plain.runResult()->output, fast.runResult()->output);
 }
 
@@ -177,14 +200,16 @@ TEST_P(FastModeMatrix, FastRunsFewerInstructions) {
   plain.options().run.sampleThreshold = 0;
   fast.options().run.sampleThreshold = 0;
   fast.options().compile.fast = true;
-  ASSERT_TRUE(plain.compileFile(assetProgram(GetParam())) && plain.run());
-  ASSERT_TRUE(fast.compileFile(assetProgram(GetParam())) && fast.run());
+  ASSERT_TRUE(compileInput(plain, GetParam()) && plain.run());
+  ASSERT_TRUE(compileInput(fast, GetParam()) && fast.run());
   EXPECT_LE(fast.runResult()->instructionsExecuted, plain.runResult()->instructionsExecuted);
 }
 
 INSTANTIATE_TEST_SUITE_P(Programs, FastModeMatrix,
                          ::testing::Values("example", "clomp", "clomp_opt", "minimd",
                                            "minimd_opt", "lulesh"));
+INSTANTIATE_TEST_SUITE_P(IntEdges, FastModeMatrix,
+                         ::testing::Values("min_div_neg1", "max_plus_1", "sub_min", "abs_min"));
 
 // ---------------------------------------------------------------------------
 // CLOMP size sweep: the optimized variant must win at every problem shape,

@@ -22,6 +22,7 @@
 #include "runtime/lint.h"
 #include "sampling/sample.h"
 #include "support/rng.h"
+#include "support/scheduler.h"
 #include "test_util.h"
 
 namespace cb {
@@ -420,11 +421,11 @@ TEST(PropertyRaceOwnership, SharedSubArrayFallsBackAndMatches) {
 /// One generated program: declarations, helper procedures, a region per
 /// chosen shape, and a checksum over every array. Shapes 0-6 are provable;
 /// 7-9 are not (global store, RNG, uniform sub-array write).
-std::string fuzzProgram(uint64_t seed) {
+std::string fuzzProgram(uint64_t seed, uint32_t minExtent = 12) {
   Rng rng(seed);
   auto pick = [&](uint32_t n) { return rng.nextBounded(n); };
   auto num = [&] { return std::to_string(1 + pick(9)) + "." + std::to_string(pick(10)) + "5"; };
-  uint32_t n = 12 + pick(28), m = 2 + pick(6);
+  uint32_t n = minExtent + pick(28), m = 2 + pick(6);
   std::string s;
   s += "const D = {0..#" + std::to_string(n) + "};\n";
   s += "const E = {0..#" + std::to_string(m) + "};\n";
@@ -522,6 +523,23 @@ TEST_P(PropertyRaceFuzz, HelpersAndNestedArraysReplayBitIdentically) {
   // threads.
   EXPECT_GE(raceFree * 2, regions) << raceFree << " of " << regions << " regions race-free";
   EXPECT_GT(replayed, 0u);
+}
+
+TEST_P(PropertyRaceFuzz, LargeRegionsForkAndReplayBitIdentically) {
+  // Extents of 6,000 and up put the provable regions past
+  // kMinForkInstructions (50,000): they fork onto the scheduler instead of
+  // replaying inline, so the canonical merge meets the generated shapes.
+  std::string src = fuzzProgram(GetParam() ^ 0x2545f4914f6cdd1dull, 6000);
+  auto c = fe::Compilation::fromString("fuzz.chpl", src, {});
+  ASSERT_TRUE(c->ok()) << c->diags().renderAll() << src;
+  rt::RunOptions o;
+  o.sampleThreshold = 997;
+  std::vector<ModeRun> rs = runModes(c->module(), o);
+  expectModesAgree(rs, "large seed " + std::to_string(GetParam()));
+  // Each test runs in its own process under ctest, so a started worker
+  // means this test forked.
+  if (Scheduler::instance().width() > 1 && rs[3].r.parallelRegionsReplayed > 0)
+    EXPECT_GT(Scheduler::instance().threadsStarted(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PropertyRaceFuzz, ::testing::Range<uint64_t>(0, 4));

@@ -283,12 +283,18 @@ TEST(ServiceDaemon, ServedJobBitIdenticalToLocal) {
   ASSERT_TRUE(server.start()) << server.lastError();
 
   // Profiles, lint runs, and rejected argv (which must fail the job, not
-  // the daemon) all answer byte for byte as they do locally.
+  // the daemon) all answer byte for byte as they do locally. The int-edge
+  // program once killed the daemon under --fast: its constant folder
+  // trapped on min / -1.
+  const std::string repro = ::testing::TempDir() + "/cb_svc_int_min_div.chpl";
+  std::ofstream(repro) << "proc main() { var x = (0 - 9223372036854775807 - 1) / (0 - 1); "
+                          "writeln(x); }\n";
   const std::vector<std::vector<std::string>> jobs = {
       {"minimd", "--view", "data"},       {"ig_naive", "--lint"},
       {"minimd_badloc", "--lint"},        {"lulesh", "--workers", "0"},
       {"lulesh", "--workers", "abc"},     {"lulesh", "--workers", "4294967296"},
       {"minimd", "--config", "numSteps=abc"},
+      {repro, "--fast"},
   };
   for (const std::vector<std::string>& argv : jobs) {
     SCOPED_TRACE(argv[0] + " " + argv[1]);
